@@ -55,12 +55,11 @@ from .signed import (
     evaluate_word,
     parse_word,
 )
-from .intervals import longest_parabolic as _longest_parabolic
 
 
 def longest_element(group: "CoxeterPresentation", J) -> "object":
     """w_0(J) for a type A or B presentation."""
-    return _longest_parabolic(group.identity(), J)
+    return longest_parabolic(group.identity(), J)
 
 
 __all__ = [

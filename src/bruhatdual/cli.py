@@ -81,7 +81,8 @@ def cmd_analyze(perm_text: str, output: str | None) -> None:
     help="How to certify self-duality: independent search, or the explicit "
     "map when the decomposition exists (skipping refutation search).",
 )
-@click.option("--jobs", type=int, default=1, envvar="BRUHAT_JOBS", show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="BRUHAT_JOBS",
+              show_default=True)
 @click.option(
     "--force-full",
     is_flag=True,
@@ -98,7 +99,8 @@ def cmd_verify_main(n_max: int, sd4_mode: str, jobs: int, force_full: bool, outp
 
 @main.command("verify-topheavy")
 @click.option("--n-max", type=int, default=5, show_default=True)
-@click.option("--jobs", type=int, default=1, envvar="BRUHAT_JOBS", show_default=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="BRUHAT_JOBS",
+              show_default=True)
 @click.option("--output", default=None)
 def cmd_verify_topheavy(n_max: int, jobs: int, output: str | None):
     """Check cover-degree top-heaviness (equality iff six-avoiding) on smooth

@@ -29,13 +29,6 @@ class DynkinDiagram:
         a, b = min(s, t), max(s, t)
         return any(x == a and y == b for x, y, _ in self.edges)
 
-    def label(self, s: int, t: int) -> int:
-        a, b = min(s, t), max(s, t)
-        for x, y, m in self.edges:
-            if (x, y) == (a, b):
-                return m
-        return 2
-
     def neighbors(self, s: int) -> frozenset[int]:
         out = set()
         for x, y, _ in self.edges:
@@ -61,23 +54,6 @@ class DynkinDiagram:
 
     def is_totally_disconnected(self, subset: frozenset[int]) -> bool:
         return not any(s in subset and t in subset for s, t, _ in self.edges)
-
-    def connected_components(self, subset: frozenset[int]) -> list[frozenset[int]]:
-        remaining = set(subset)
-        comps = []
-        while remaining:
-            todo = [min(remaining)]
-            comp = {todo[0]}
-            while todo:
-                s = todo.pop()
-                for t in self.neighbors(s):
-                    if t in remaining and t not in comp:
-                        comp.add(t)
-                        todo.append(t)
-            comps.append(frozenset(comp))
-            remaining -= comp
-        comps.sort(key=min)
-        return comps
 
 
 def type_a_diagram(rank: int) -> DynkinDiagram:

@@ -9,14 +9,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .intervals import (
-    BruhatInterval,
-    bruhat_leq,
-    longest_parabolic,
-    parabolic_decompose,
-    rank_profile,
-)
-from .polished import PolishedBlock, PolishedDecomposition
+from .intervals import BruhatInterval, bruhat_leq, rank_profile
+from .permutations import Permutation
+from .polished import PolishedDecomposition
 from .signed import Element
 
 
@@ -150,42 +145,118 @@ def bipartite_isomorphic(g: LevelGraph, h: LevelGraph) -> Optional[dict[Element,
 # -- duality map -------------------------------------------------------------------
 
 
-def _single_block_dual(block: PolishedBlock, u: Element) -> Element:
-    e = u.identity_like()
-    d = parabolic_decompose(u, block.Jp, "right")
-    return (
-        longest_parabolic(e, block.J)
-        * d.quotient_part
-        * longest_parabolic(e, block.J & block.Jp)
-        * d.parabolic_part
-        * longest_parabolic(e, block.Jp)
-    )
+def _windows(gens: frozenset[int]) -> tuple[tuple[int, int], ...]:
+    """Position slices [lo, hi) (0-based) of the Young subgroup of S_n
+    generated by ``gens``: a run a..b of consecutive generators moves
+    positions a..b+1."""
+    out: list[tuple[int, int]] = []
+    for i in sorted(gens):
+        if out and out[-1][1] == i:
+            out[-1] = (out[-1][0], i + 1)
+        else:
+            out.append((i - 1, i + 1))
+    return tuple(out)
+
+
+def _reversal(n: int, windows: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """w_0 of a Young subgroup: the identity reversed within each window."""
+    im = list(range(1, n + 1))
+    for lo, hi in windows:
+        im[lo:hi] = im[lo:hi][::-1]
+    return tuple(im)
+
+
+def _split(
+    x: tuple[int, ...], windows: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Right parabolic factorization x = q p across a Young subgroup: the
+    quotient part q is x sorted within each window, and p = q^{-1} x permutes
+    positions within the windows."""
+    q = list(x)
+    p = list(range(1, len(x) + 1))
+    for lo, hi in windows:
+        values = x[lo:hi]
+        ordered = sorted(values)
+        q[lo:hi] = ordered
+        slot = {v: lo + 1 + k for k, v in enumerate(ordered)}
+        p[lo:hi] = [slot[v] for v in values]
+    return tuple(q), tuple(p)
+
+
+def _product(factors: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Left-to-right product of one-line tuples, (a * b)(i) = a(b(i))."""
+    out = factors[-1]
+    for f in reversed(factors[:-1]):
+        out = tuple([f[j - 1] for j in out])
+    return out
+
+
+class DualityMap:
+    """The antiautomorphism candidate u -> w_0(J) u^{J'} w_0(J and J') u_{J'} w_0(J')
+    of a polished decomposition of w, applied blockwise through the
+    support-disjoint product structure, compiled once per (w, decomposition).
+
+    Type A only: every parabolic subgroup involved is then a Young subgroup,
+    held as its position windows.  The right factorization across W_J sorts
+    within the windows of J, w_0(J) reverses them, and products compose raw
+    one-line tuples.  Each image is checked to lie in [e, w].
+    """
+
+    def __init__(self, w: Element, decomp: PolishedDecomposition):
+        if not isinstance(w, Permutation):
+            raise ValueError(f"the compiled duality map is type A only, got {w!r}")
+        gens = w.simple_indices()
+        for block in decomp.blocks:
+            bad = sorted(i for i in block.S | block.J | block.Jp if i not in gens)
+            if bad:
+                raise ValueError(f"generator indices {bad} outside the group rank")
+        n = w.n
+        self.w = w
+        self._identity = tuple(range(1, n + 1))
+        # u splits block by block from the right, last block first
+        self._block_windows = [_windows(b.S) for b in reversed(decomp.blocks)]
+        self._blocks = [
+            (
+                _windows(b.Jp),
+                _reversal(n, _windows(b.J)),
+                _reversal(n, _windows(b.J & b.Jp)),
+                _reversal(n, _windows(b.Jp)),
+            )
+            for b in decomp.blocks
+        ]
+
+    def __call__(self, u: Element) -> Permutation:
+        w = self.w
+        if not bruhat_leq(u, w):
+            raise ValueError(f"{u!r} is not below {w!r}")
+        parts = []
+        rem = u.images
+        for windows in self._block_windows:
+            rem, part = _split(rem, windows)
+            parts.append(part)
+        if rem != self._identity:
+            raise ValueError(
+                f"decomposition does not account for {Permutation(rem)!r}: invalid for {w!r}"
+            )
+        factors = []
+        for (jp_windows, w0_j, w0_meet, w0_jp), ui in zip(self._blocks, reversed(parts)):
+            quotient, parabolic = _split(ui, jp_windows)
+            factors += (w0_j, quotient, w0_meet, parabolic, w0_jp)
+        out = Permutation(_product(factors)) if factors else w.identity_like()
+        if not bruhat_leq(out, w):
+            raise AssertionError(f"duality image {out!r} escaped [e, {w!r}]")
+        return out
 
 
 def duality_map(w: Element, decomp: PolishedDecomposition, u: Element) -> Element:
-    """The antiautomorphism candidate u -> w_0(J) u^{J'} w_0(J and J') u_{J'} w_0(J'),
-    applied blockwise through the support-disjoint product structure.
+    """The duality map of ``decomp`` applied to one u <= w: a thin wrapper
+    that compiles a DualityMap for (w, decomp) and applies it once.  Callers
+    mapping a whole interval compile the map once and reuse it.
 
-    The output is checked to lie in [e, w]; callers verify the cover-reversal
-    contract on whole intervals.
+    Raises ValueError when u is not below w or the decomposition does not
+    account for u, AssertionError when the image escapes [e, w].
     """
-    if not bruhat_leq(u, w):
-        raise ValueError(f"{u!r} is not below {w!r}")
-    factors: list[Element] = []
-    rem = u
-    for block in reversed(decomp.blocks):
-        d = parabolic_decompose(rem, block.S, "right")
-        factors.append(d.parabolic_part)
-        rem = d.quotient_part
-    if not rem.is_identity():
-        raise ValueError(f"decomposition does not account for {rem!r}: invalid for {w!r}")
-    factors.reverse()
-    out = w.identity_like()
-    for block, ui in zip(decomp.blocks, factors):
-        out = out * _single_block_dual(block, ui)
-    if not bruhat_leq(out, w):
-        raise AssertionError(f"duality image {out!r} escaped [e, {w!r}]")
-    return out
+    return DualityMap(w, decomp)(u)
 
 
 # -- self-duality certification ----------------------------------------------------
@@ -234,7 +305,8 @@ def certify_self_dual(
     exhausted.
     """
     if decomp_hint is not None:
-        pairing = {x: duality_map(interval.top, decomp_hint, x) for x in interval.elements}
+        dual = DualityMap(interval.top, decomp_hint)
+        pairing = {x: dual(x) for x in interval.elements}
         if not _is_antiautomorphism(interval, pairing):
             raise ValueError("decomposition hint does not induce an antiautomorphism")
         return DualityCertificate("constructive-map", pairing, None)

@@ -133,42 +133,72 @@ def gamma_graphs_direct(w: Permutation) -> tuple[LevelGraph, LevelGraph]:
 # -- per-element predicate rows -----------------------------------------------------
 
 
+class _ElementFailure(Exception):
+    """An unexpected exception while checking one element, tagged with the
+    stage (the harness call) that raised it; sweeps record it as a violation
+    instead of dying."""
+
+    def __init__(self, stage: str, error: Exception):
+        self.stage = stage
+        self.error = f"{type(error).__name__}: {error}"
+        super().__init__(f"{stage}: {self.error}")
+
+    def record(self, n: int, w: Permutation) -> dict:
+        return {"n": n, "w": w.one_line(), "stage": self.stage, "error": self.error}
+
+
 def _sd_predicates(w: Permutation, sd4_mode: str) -> dict:
     """The four self-duality predicates, computed as independently as the
     modes allow: graph isomorphism, pattern scan, constructive decomposition,
-    and interval-level certification."""
-    lw = w.length()
-    if lw < 2:
-        sd1 = True
-    else:
-        lower, upper = gamma_graphs_direct(w)
-        sd1 = bipartite_isomorphic(lower, upper) is not None
+    and interval-level certification.
 
-    sd2 = avoids_selfdual_patterns(w)
-
-    decomp: Optional[PolishedDecomposition]
+    Raises _ElementFailure, naming the stage, on any exception other than
+    the NotPolishedError and hinted-certification ValueError that decide a
+    predicate."""
+    stage = "gamma_graphs_direct"
     try:
-        decomp = assemble_decomposition(w)
-        sd3 = True
-    except NotPolishedError:
-        decomp = None
-        sd3 = False
+        lw = w.length()
+        if lw < 2:
+            sd1 = True
+        else:
+            lower, upper = gamma_graphs_direct(w)
+            stage = "bipartite_isomorphic"
+            sd1 = bipartite_isomorphic(lower, upper) is not None
 
-    sd4: Optional[bool]
-    if sd4_mode == "full":
-        sd4 = certify_self_dual(build_interval(w)).is_self_dual
-    elif sd3:
-        # constructive-only: verify the explicit map reverses every cover
+        stage = "avoids_selfdual_patterns"
+        sd2 = avoids_selfdual_patterns(w)
+
+        stage = "assemble_decomposition"
+        decomp: Optional[PolishedDecomposition]
         try:
-            certify_self_dual(build_interval(w), decomp)
-            sd4 = True
-        except ValueError:
-            sd4 = False
-    else:
-        sd4 = None
+            decomp = assemble_decomposition(w)
+            sd3 = True
+        except NotPolishedError:
+            decomp = None
+            sd3 = False
+
+        sd4: Optional[bool] = None
+        if sd4_mode == "full" or sd3:
+            stage = "build_interval"
+            interval = build_interval(w)
+            stage = "certify_self_dual"
+            if sd4_mode == "full":
+                sd4 = certify_self_dual(interval).is_self_dual
+            else:
+                # constructive-only: verify the explicit map reverses every cover
+                try:
+                    certify_self_dual(interval, decomp)
+                    sd4 = True
+                except ValueError:
+                    sd4 = False
+
+        stage = "avoids_smooth_patterns"
+        smooth = avoids_smooth_patterns(w)
+    except Exception as exc:
+        raise _ElementFailure(stage, exc) from exc
 
     return {
-        "smooth": avoids_smooth_patterns(w),
+        "smooth": smooth,
         "sd1_gamma_iso": sd1,
         "sd2_patterns": sd2,
         "sd3_polished": sd3,
@@ -189,7 +219,11 @@ def _main_chunk(args: tuple[int, int, str]) -> dict:
     tally = {"smooth": 0, "polished": 0, "self_dual": 0}
     for w in _perms_first_value(n, first):
         checked += 1
-        row = _sd_predicates(w, sd4_mode)
+        try:
+            row = _sd_predicates(w, sd4_mode)
+        except _ElementFailure as fail:
+            violations.append(fail.record(n, w))
+            continue
         if row["smooth"]:
             tally["smooth"] += 1
         if row["sd3_polished"]:
@@ -204,9 +238,18 @@ def _main_chunk(args: tuple[int, int, str]) -> dict:
     return {"n": n, "first": first, "checked": checked, "tally": tally, "violations": violations}
 
 
+def _worker_count(jobs: int, n_chunks: int) -> int:
+    """Worker processes for one sweep step: ``jobs``, but never more than
+    there are chunks to hand out."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, n_chunks)
+
+
 def _run_chunks(worker, chunk_args: list, jobs: int) -> list[dict]:
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _worker_count(jobs, len(chunk_args))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, chunk_args))
     return [worker(a) for a in chunk_args]
 
@@ -249,17 +292,24 @@ def verify_main(
     )
 
 
-def _topheavy_chunk(args: tuple[int, int, bool]) -> dict:
-    n, first, do_ranks = args
+def _topheavy_checks(
+    n: int, w: Permutation, do_ranks: bool
+) -> tuple[bool, Optional[str], list[dict]]:
+    """One element's top-heaviness checks: whether it counts as checked, its
+    degree tally ("degree_equal" / "degree_strict", or None when it is not
+    smooth of length >= 2), and its violations.
+
+    Raises _ElementFailure, naming the stage, on any exception."""
     violations = []
-    checked = 0
-    tally = {"smooth": 0, "degree_equal": 0, "degree_strict": 0}
-    for w in _perms_first_value(n, first):
+    stage = "avoids_smooth_patterns"
+    try:
         lw = w.length()
         smooth = avoids_smooth_patterns(w)
         interval: Optional[BruhatInterval] = None
         if do_ranks:
+            stage = "build_interval"
             interval = build_interval(w)
+            stage = "rank_profile"
             profile = rank_profile(interval)
             for k in range(lw // 2 + 1):
                 if profile[k] > profile[lw - k]:
@@ -267,29 +317,48 @@ def _topheavy_chunk(args: tuple[int, int, bool]) -> dict:
                         {"n": n, "w": w.one_line(), "check": "rank-top-heavy", "profile": profile}
                     )
                     break
-        if smooth and lw >= 2:
+        if not (smooth and lw >= 2):
+            return do_ranks, None, violations
+        if interval is None:
+            stage = "build_interval"
+            interval = build_interval(w)
+        stage = "degree_extremes"
+        atom_up, coatom_down = degree_extremes(interval)
+        stage = "avoids_selfdual_patterns"
+        six = avoids_selfdual_patterns(w)
+    except Exception as exc:
+        raise _ElementFailure(stage, exc) from exc
+    if atom_up > coatom_down:
+        violations.append(
+            {"n": n, "w": w.one_line(), "check": "degree-top-heavy",
+             "extremes": [atom_up, coatom_down]}
+        )
+    if (atom_up == coatom_down) != six:
+        violations.append(
+            {"n": n, "w": w.one_line(), "check": "degree-equality-vs-patterns",
+             "extremes": [atom_up, coatom_down], "six_avoiding": six}
+        )
+    return True, "degree_equal" if atom_up == coatom_down else "degree_strict", violations
+
+
+def _topheavy_chunk(args: tuple[int, int, bool]) -> dict:
+    n, first, do_ranks = args
+    violations = []
+    checked = 0
+    tally = {"smooth": 0, "degree_equal": 0, "degree_strict": 0}
+    for w in _perms_first_value(n, first):
+        try:
+            counted, degree, found = _topheavy_checks(n, w, do_ranks)
+        except _ElementFailure as fail:
+            # a failed element counts as checked: it was attempted and reported
             checked += 1
+            violations.append(fail.record(n, w))
+            continue
+        checked += counted
+        if degree is not None:
             tally["smooth"] += 1
-            if interval is None:
-                interval = build_interval(w)
-            atom_up, coatom_down = degree_extremes(interval)
-            six = avoids_selfdual_patterns(w)
-            if atom_up > coatom_down:
-                violations.append(
-                    {"n": n, "w": w.one_line(), "check": "degree-top-heavy",
-                     "extremes": [atom_up, coatom_down]}
-                )
-            if (atom_up == coatom_down) != six:
-                violations.append(
-                    {"n": n, "w": w.one_line(), "check": "degree-equality-vs-patterns",
-                     "extremes": [atom_up, coatom_down], "six_avoiding": six}
-                )
-            if atom_up == coatom_down:
-                tally["degree_equal"] += 1
-            else:
-                tally["degree_strict"] += 1
-        elif do_ranks:
-            checked += 1
+            tally[degree] += 1
+        violations.extend(found)
     return {"n": n, "first": first, "checked": checked, "tally": tally, "violations": violations}
 
 

@@ -4,7 +4,9 @@ and parabolic machinery (quotients, BP decompositions, m(u, J)).
 Everything here is generic over the two element kinds (Permutation and
 SignedPermutation): elements expose length(), inverse(), multiplication,
 times_simple_right/left, descent sets, support(), down_covers() and
-simple_indices().
+simple_indices(), and each class has a static down_cover_images(images)
+that maps a raw one-line tuple to the tuples it covers; down_covers() wraps
+it, and build_interval runs on it directly.
 """
 
 from __future__ import annotations
@@ -141,29 +143,37 @@ class BruhatInterval:
 
 def build_interval(w: Element) -> BruhatInterval:
     """Downward BFS from w along cover moves; every u <= w is reached because
-    Bruhat order is graded with saturated chains."""
-    top_rank = w.length()
-    elements = [w]
-    index = {w: 0}
-    rank = [top_rank]
+    Bruhat order is graded with saturated chains.
+
+    The search runs on one-line tuples through the element class's
+    ``down_cover_images``; each distinct node is wrapped, and so validated,
+    once at the end.
+    """
+    cls = type(w)
+    covers = cls.down_cover_images
+    images = [w.images]
+    tuple_ids = {w.images: 0}
+    rank = [w.length()]
     down: list[list[int]] = [[]]
     frontier = [0]
     while frontier:
         nxt = []
         for xid in frontier:
-            x = elements[xid]
-            r = rank[xid]
-            for y in x.down_covers():
-                yid = index.get(y)
+            r = rank[xid] - 1
+            xdown = down[xid]
+            for y in covers(images[xid]):
+                yid = tuple_ids.get(y)
                 if yid is None:
-                    yid = len(elements)
-                    index[y] = yid
-                    elements.append(y)
-                    rank.append(r - 1)
+                    yid = len(images)
+                    tuple_ids[y] = yid
+                    images.append(y)
+                    rank.append(r)
                     down.append([])
                     nxt.append(yid)
-                down[xid].append(yid)
+                xdown.append(yid)
         frontier = nxt
+    del tuple_ids
+    elements = [w] + [cls(im) for im in images[1:]]
     up: list[list[int]] = [[] for _ in elements]
     for xid, ys in enumerate(down):
         ys.sort()
@@ -174,6 +184,7 @@ def build_interval(w: Element) -> BruhatInterval:
     bottoms = [i for i, r in enumerate(rank) if r == 0]
     if len(bottoms) != 1 or not elements[bottoms[0]].is_identity():
         raise AssertionError("interval lacks a unique identity minimum")
+    index = {x: i for i, x in enumerate(elements)}
     return BruhatInterval(w, elements, index, rank, down, up)
 
 

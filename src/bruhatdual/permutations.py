@@ -158,9 +158,36 @@ class Permutation:
         out.sort()
         return out
 
+    @staticmethod
+    def down_cover_images(im: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """One-line tuples of the elements covered by the permutation ``im``,
+        in minimal-inversion order: swap positions i < j whenever
+        w(j) < w(i) and no value between them sits at a position between
+        them.  Works on raw tuples, so nothing here is validated.
+
+        >>> Permutation.down_cover_images((3, 1, 2))
+        [(1, 3, 2), (2, 1, 3)]
+        """
+        n = len(im)
+        out = []
+        for i in range(n - 1):
+            wi = im[i]
+            best = 0  # largest value < wi seen strictly between i and j
+            for j in range(i + 1, n):
+                wj = im[j]
+                if best < wj < wi:
+                    best = wj
+                    swapped = list(im)
+                    swapped[i] = wj
+                    swapped[j] = wi
+                    out.append(tuple(swapped))
+                    if wj == wi - 1:  # no value left between wj and wi
+                        break
+        return out
+
     def down_covers(self) -> list[Permutation]:
         """All elements covered by this one in Bruhat order."""
-        return [self.times_transposition_right(i, j) for i, j in self.minimal_inversions()]
+        return [Permutation(im) for im in self.down_cover_images(self.images)]
 
 
 def identity(n: int) -> Permutation:

@@ -11,6 +11,7 @@ multiplication on values, and (u * v)(i) = u(v(i)) with u(-x) = -u(x).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -96,27 +97,7 @@ class SignedPermutation:
     # -- length and descents -----------------------------------------------------
 
     def length(self) -> int:
-        """Positive roots sent negative: pair roots e_i - e_j and e_i + e_j
-        plus the short roots e_i, under the sign-change-at-the-end convention."""
-        im = self.images
-        n = self.n
-        total = sum(1 for v in im if v < 0)
-        for a in range(n):
-            x = im[a]
-            for b in range(a + 1, n):
-                y = im[b]
-                # e_a - e_b root: inverted when same-sign descent or x < 0 < y
-                if (x > y and (x > 0) == (y > 0)) or (x < 0 < y):
-                    total += 1
-                # e_a + e_b root: inverted when both negative, or the positive
-                # one is dominated by the absolute value of the negative one
-                if x < 0 and y < 0:
-                    total += 1
-                elif x < 0 < y and y > -x:
-                    total += 1
-                elif y < 0 < x and x > -y:
-                    total += 1
-        return total
+        return _signed_length(self.images)
 
     def right_descents(self) -> frozenset[int]:
         lw = self.length()
@@ -142,14 +123,44 @@ class SignedPermutation:
 
     # -- cover moves ----------------------------------------------------------------
 
-    def down_covers(self) -> list[SignedPermutation]:
-        lw = self.length()
+    @staticmethod
+    def down_cover_images(im: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Window tuples of the elements covered by ``im``: the products
+        ``im * t`` over the reflections t of B_n that drop the length by one,
+        in reflection order.  Works on raw tuples, so nothing is validated."""
+        lw = _signed_length(im)
         out = []
-        for t in reflections_b(self.n):
-            v = self * t
-            if v.length() == lw - 1:
+        for t in reflections_b(len(im)):
+            v = tuple(im[a - 1] if a > 0 else -im[-a - 1] for a in t.images)
+            if _signed_length(v) == lw - 1:
                 out.append(v)
         return out
+
+    def down_covers(self) -> list[SignedPermutation]:
+        return [SignedPermutation(v) for v in self.down_cover_images(self.images)]
+
+
+def _signed_length(im: tuple[int, ...]) -> int:
+    """Positive roots sent negative: pair roots e_i - e_j and e_i + e_j
+    plus the short roots e_i, under the sign-change-at-the-end convention."""
+    n = len(im)
+    total = sum(1 for v in im if v < 0)
+    for a in range(n):
+        x = im[a]
+        for b in range(a + 1, n):
+            y = im[b]
+            # e_a - e_b root: inverted when same-sign descent or x < 0 < y
+            if (x > y and (x > 0) == (y > 0)) or (x < 0 < y):
+                total += 1
+            # e_a + e_b root: inverted when both negative, or the positive
+            # one is dominated by the absolute value of the negative one
+            if x < 0 and y < 0:
+                total += 1
+            elif x < 0 < y and y > -x:
+                total += 1
+            elif y < 0 < x and x > -y:
+                total += 1
+    return total
 
 
 def signed_identity(n: int) -> SignedPermutation:
@@ -221,11 +232,7 @@ class CoxeterPresentation:
     def order(self) -> int:
         n = self.rank
         if self.kind == "A":
-            import math
-
             return math.factorial(n + 1)
-        import math
-
         return (2**n) * math.factorial(n)
 
 

@@ -108,6 +108,13 @@ class TestVerifyCommands:
         result = runner.invoke(main, ["verify-main", "--n-max", "3"], env={"BRUHAT_JOBS": "2"})
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("command", ["verify-main", "verify-topheavy"])
+    def test_jobs_below_one_is_usage_error(self, runner, command):
+        result = runner.invoke(main, [command, "--n-max", "3", "--jobs", "0"])
+        assert result.exit_code == 2 and "--jobs" in result.output
+        result = runner.invoke(main, [command, "--n-max", "3"], env={"BRUHAT_JOBS": "-1"})
+        assert result.exit_code == 2
+
     def test_violations_force_nonzero_exit(self, runner):
         # the exit-code contract, exercised with a fabricated failing report
         import bruhatdual.cli as cli_mod

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from oracle_utils import all_one_lines, brute_avoids_all
 
 from bruhatdual.duality import (
+    DualityMap,
     bipartite_isomorphic,
     certify_self_dual,
     duality_map,
@@ -13,9 +14,10 @@ from bruhatdual.duality import (
     gamma_upper,
 )
 from bruhatdual.harness import gamma_graphs_direct
-from bruhatdual.intervals import build_interval
+from bruhatdual.intervals import build_interval, longest_parabolic, parabolic_decompose
 from bruhatdual.permutations import Permutation, identity, longest_permutation, parse_permutation
 from bruhatdual.polished import polished_decompose
+from bruhatdual.signed import SignedPermutation
 
 perms = lambda n: st.permutations(list(range(1, n + 1))).map(tuple).map(Permutation)
 
@@ -32,6 +34,32 @@ GAMMA_UPPER_34521 = {
     "24531": {"24513", "24351", "23541", "14532"},
     "34512": {"34215", "34152", "32514", "31542", "24513", "14532"},
 }
+
+
+def reference_dual(w, decomp, u):
+    """The paper's map u -> w_0(J) u^{J'} w_0(J and J') u_{J'} w_0(J'), block by
+    block, on Permutation objects: descent stripping, greedy longest
+    elements and Permutation.__mul__, sharing nothing with the compiled map."""
+    e = w.identity_like()
+    parts = []
+    rem = u
+    for block in reversed(decomp.blocks):
+        d = parabolic_decompose(rem, block.S, "right")
+        parts.append(d.parabolic_part)
+        rem = d.quotient_part
+    assert rem.is_identity()
+    out = e
+    for block, ui in zip(decomp.blocks, reversed(parts)):
+        d = parabolic_decompose(ui, block.Jp, "right")
+        out = (
+            out
+            * longest_parabolic(e, block.J)
+            * d.quotient_part
+            * longest_parabolic(e, block.J & block.Jp)
+            * d.parabolic_part
+            * longest_parabolic(e, block.Jp)
+        )
+    return out
 
 
 def graph_as_dict(g):
@@ -162,6 +190,24 @@ class TestDualityMap:
             assert {(dual[y], dual[x]) for x, y in edges} == edges
             # empirically the explicit map is an involution
             assert all(dual[dual[x]] == x for x in interval.elements)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_matches_reference_formula(self, n):
+        for im in all_one_lines(n):
+            if not brute_avoids_all(im):
+                continue
+            w = Permutation(im)
+            d = polished_decompose(w)
+            interval = build_interval(w)
+            dual = {u: duality_map(w, d, u) for u in interval.elements}
+            for u, v in dual.items():
+                assert v == reference_dual(w, d, u)
+                assert dual[v] == u
+
+    def test_type_b_rejected(self):
+        w = SignedPermutation((-2, 1))
+        with pytest.raises(ValueError, match="type A only"):
+            DualityMap(w, polished_decompose(parse_permutation("21")))
 
 
 class TestCertify:

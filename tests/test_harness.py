@@ -1,0 +1,65 @@
+import pytest
+
+from bruhatdual import harness
+
+
+def failing_on(real, is_target, exc):
+    """`real`, except that it raises `exc` when its first argument is the target."""
+
+    def stage(first, *rest):
+        if is_target(first):
+            raise exc
+        return real(first, *rest)
+
+    return stage
+
+
+def is_2143(w):
+    return w.one_line() == "2143"
+
+
+class TestElementFailures:
+    @pytest.mark.parametrize(
+        "sd4_mode,stage,is_target",
+        [
+            ("full", "assemble_decomposition", is_2143),
+            ("full", "build_interval", is_2143),
+            ("constructive-only", "certify_self_dual", lambda interval: is_2143(interval.top)),
+        ],
+    )
+    def test_main_sweep_records_failure(self, monkeypatch, sd4_mode, stage, is_target):
+        real = getattr(harness, stage)
+        monkeypatch.setattr(harness, stage, failing_on(real, is_target, AssertionError("boom")))
+        report = harness.verify_main(4, sd4_mode=sd4_mode, jobs=1)
+        assert report.checked == 1 + 2 + 6 + 24
+        assert report.violations == [
+            {"n": 4, "w": "2143", "stage": stage, "error": "AssertionError: boom"}
+        ]
+
+    def test_topheavy_sweep_records_failure(self, monkeypatch):
+        clean = harness.verify_topheavy(4)
+        real = harness.build_interval
+        monkeypatch.setattr(
+            harness, "build_interval", failing_on(real, is_2143, RuntimeError("boom"))
+        )
+        report = harness.verify_topheavy(4, jobs=1)
+        assert report.checked == clean.checked
+        assert report.violations == [
+            {"n": 4, "w": "2143", "stage": "build_interval", "error": "RuntimeError: boom"}
+        ]
+
+
+class TestJobs:
+    def test_worker_count_clamped_to_chunks(self):
+        assert harness._worker_count(10**6, 7) == 7
+        assert harness._worker_count(2, 7) == 2
+        assert harness._worker_count(1, 1) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            harness._worker_count(jobs, 4)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            harness.verify_main(3, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            harness.verify_topheavy(3, jobs=jobs)

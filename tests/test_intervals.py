@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,34 @@ from bruhatdual.permutations import (
 )
 
 perms = lambda n: st.permutations(list(range(1, n + 1))).map(tuple).map(Permutation)
+
+
+def reference_interval(w):
+    """Downward BFS over Permutation objects, through minimal_inversions()
+    and times_transposition_right(): (elements, rank, down, up) in the id
+    order build_interval promises."""
+    elements, index, rank, down = [w], {w: 0}, [w.length()], [[]]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for xid in frontier:
+            x = elements[xid]
+            for i, j in x.minimal_inversions():
+                y = x.times_transposition_right(i, j)
+                if y not in index:
+                    index[y] = len(elements)
+                    elements.append(y)
+                    rank.append(rank[xid] - 1)
+                    down.append([])
+                    nxt.append(index[y])
+                down[xid].append(index[y])
+        frontier = nxt
+    up = [[] for _ in elements]
+    for xid, ys in enumerate(down):
+        ys.sort()
+        for yid in ys:
+            up[yid].append(xid)
+    return elements, rank, down, up
 
 
 class TestBruhatLeq:
@@ -111,6 +140,23 @@ class TestInterval:
                         and bruhat_leq(u, v)
                     )
                     assert ((v.images, u.images) in edges) == bool(is_cover)
+
+    @pytest.mark.parametrize(
+        "ws",
+        [
+            [Permutation(im) for im in all_one_lines(5)],
+            [Permutation(im) for im in random.Random(7).sample(list(all_one_lines(7)), 30)],
+        ],
+        ids=["S5", "S7-sample"],
+    )
+    def test_matches_reference_bfs(self, ws):
+        for w in ws:
+            interval = build_interval(w)
+            elements, rank, down, up = reference_interval(w)
+            assert interval.elements == elements
+            assert (interval.rank, interval.down, interval.up) == (rank, down, up)
+            assert interval.index == {x: i for i, x in enumerate(elements)}
+            assert set(interval.elements) == subword_downset(w)
 
     def test_diamond_property(self):
         # every rank-2 subinterval has exactly two middle elements

@@ -144,6 +144,12 @@ class TestBruhatOrderB:
                 }
                 assert set(w.down_covers()) == covers
 
+    def test_interval_matches_subword_downset_b3(self):
+        for w in group_elements(B3):
+            interval = build_interval(w)
+            assert set(interval.elements) == subword_downset(w)
+            assert interval.index == {x: i for i, x in enumerate(interval.elements)}
+
     def test_interval_of_w0_b2(self):
         w0 = longest_parabolic(B2.identity(), [1, 2])
         assert rank_profile(build_interval(w0)) == (1, 2, 2, 2, 1)
