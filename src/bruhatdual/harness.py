@@ -69,22 +69,12 @@ class VerificationReport:
 # -- fast level graphs (no full interval) ----------------------------------------
 
 
-def _length_two_elements(n: int) -> list[Permutation]:
-    out = []
-    for im in itertools.permutations(range(1, n + 1)):
-        w = Permutation(im)
-        if w.length() == 2:
-            out.append(w)
-    return out
-
-
-_LENGTH_TWO_CACHE: dict[int, list[Permutation]] = {}
-
-
 def gamma_graphs_direct(w: Permutation) -> tuple[LevelGraph, LevelGraph]:
     """Both level graphs of [e, w] built without constructing the interval:
-    the bottom pair from global rank-1/rank-2 elements filtered by Bruhat
-    comparison, the top pair from iterated cover moves below w.
+    the bottom pair from the simple transpositions in supp(w) and their
+    pairwise products filtered by Bruhat comparison (every element of
+    length 2 is some s_i s_j with i != j, and lies below w only if its
+    support does), the top pair from iterated cover moves below w.
 
     Agrees with the interval route as labeled graphs (property-tested).
     """
@@ -94,10 +84,9 @@ def gamma_graphs_direct(w: Permutation) -> tuple[LevelGraph, LevelGraph]:
     atoms = sorted(
         (simple_transposition(n, i) for i in sorted(w.support())), key=lambda x: x.images
     )
-    if n not in _LENGTH_TWO_CACHE:
-        _LENGTH_TWO_CACHE[n] = _length_two_elements(n)
     rank2 = sorted(
-        (x for x in _LENGTH_TWO_CACHE[n] if bruhat_leq(x, w)), key=lambda x: x.images
+        (x for x in {a * b for a in atoms for b in atoms if a != b} if bruhat_leq(x, w)),
+        key=lambda x: x.images,
     )
     lower_edges = []
     for si, a in enumerate(atoms):

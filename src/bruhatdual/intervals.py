@@ -6,12 +6,22 @@ SignedPermutation): elements expose length(), inverse(), multiplication,
 times_simple_right/left, descent sets, support(), down_covers() and
 simple_indices(), and each class has a static down_cover_images(images)
 that maps a raw one-line tuple to the tuples it covers; down_covers() wraps
-it, and build_interval runs on it directly.
+it.
+
+build_interval reads covers from one cover graph per element class, kept for
+the life of the process: each element is interned to an integer id, wrapped
+once, and has its covers computed once, the first time any interval reaches
+it.  The graph never enumerates a group up front, so its memory is bounded
+by the distinct elements the process has touched.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import operator
+import threading
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -66,10 +76,10 @@ def bruhat_leq(u: Element, w: Element) -> bool:
     """
     if type(u) is not type(w) or u.n != w.n:
         raise ValueError(f"cannot compare {u!r} and {w!r}")
-    if u.length() > w.length():
-        return False
     if isinstance(u, Permutation):
         return _dominance_leq(u, w)
+    if u.length() > w.length():
+        return False
     return u in _downset(w)
 
 
@@ -116,6 +126,9 @@ class BruhatInterval:
     """The lower interval [e, w] with dense integer ids in BFS discovery order
     (top first), rank = length, and both cover adjacencies.
 
+    BFS from the top of a graded poset meets the ranks in turn, so rank is
+    non-increasing along ids and each rank is one contiguous id range.
+
     Immutable after construction; safe to share between threads.
     """
 
@@ -135,52 +148,113 @@ class BruhatInterval:
         return self.rank[0]
 
     def ids_at_rank(self, k: int) -> list[int]:
-        return [i for i in range(self.size) if self.rank[i] == k]
+        lo = bisect.bisect_left(self.rank, -k, key=operator.neg)
+        hi = bisect.bisect_right(self.rank, -k, lo=lo, key=operator.neg)
+        return list(range(lo, hi))
 
     def contains(self, u: Element) -> bool:
         return u in self.index
+
+
+class _CoverGraph:
+    """The Bruhat cover graph of one element class, grown on demand.
+
+    A one-line tuple gets the next integer id the first time it is met and
+    is wrapped, and so validated, once through the class constructor.  A
+    node's covers come from ``cls.down_cover_images`` on its first expansion
+    and are kept as ids in one flat array, node ``g`` owning
+    ``covers[start[g]:stop[g]]``; ``start[g]`` is -1 until then.  Growth
+    takes a lock, so threads may build intervals side by side.
+    """
+
+    def __init__(self, cls: type) -> None:
+        self.cls = cls
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.elements: list[Element] = []
+        self.start = array("i")
+        self.stop = array("i")
+        self.covers = array("i")
+        self._lock = threading.Lock()
+
+    def _add(self, images: tuple[int, ...], element: Element | None = None) -> int:
+        # caller holds the lock
+        gid = self.ids.get(images)
+        if gid is None:
+            gid = len(self.elements)
+            self.elements.append(self.cls(images) if element is None else element)
+            self.start.append(-1)
+            self.stop.append(-1)
+            self.ids[images] = gid
+        return gid
+
+    def node(self, x: Element) -> int:
+        with self._lock:
+            return self._add(x.images, x)
+
+    def expand(self, gid: int) -> int:
+        """Offset of node gid's covers in ``covers``, computed on first call."""
+        with self._lock:
+            if self.start[gid] < 0:
+                first = len(self.covers)
+                images = self.elements[gid].images
+                self.covers.extend([self._add(y) for y in self.cls.down_cover_images(images)])
+                # stop before start: build_interval tests start without the lock
+                self.stop[gid] = len(self.covers)
+                self.start[gid] = first
+            return self.start[gid]
+
+
+# one per element class, so Permutation and SignedPermutation never share ids
+_COVER_GRAPHS: dict[type, _CoverGraph] = {}
 
 
 def build_interval(w: Element) -> BruhatInterval:
     """Downward BFS from w along cover moves; every u <= w is reached because
     Bruhat order is graded with saturated chains.
 
-    The search runs on one-line tuples through the element class's
-    ``down_cover_images``; each distinct node is wrapped, and so validated,
-    once at the end.
+    The search runs on the integer ids of the class's cover graph, so each
+    element's covers are computed once per process however many intervals
+    contain it; the graph grows only by the elements searches reach, with no
+    size limit.  The lists of the returned interval are its own; its
+    elements are the graph's shared frozen objects.
     """
-    cls = type(w)
-    covers = cls.down_cover_images
-    images = [w.images]
-    tuple_ids = {w.images: 0}
+    graph = _COVER_GRAPHS.get(type(w))
+    if graph is None:
+        graph = _COVER_GRAPHS.setdefault(type(w), _CoverGraph(type(w)))
+    start, stop, covers, expand = graph.start, graph.stop, graph.covers, graph.expand
+    gids = [graph.node(w)]
+    local = {gids[0]: 0}  # graph id -> interval id
     rank = [w.length()]
     down: list[list[int]] = [[]]
     frontier = [0]
     while frontier:
         nxt = []
         for xid in frontier:
+            gx = gids[xid]
+            first = start[gx]
+            if first < 0:
+                first = expand(gx)
             r = rank[xid] - 1
             xdown = down[xid]
-            for y in covers(images[xid]):
-                yid = tuple_ids.get(y)
+            for gy in covers[first : stop[gx]]:
+                yid = local.get(gy)
                 if yid is None:
-                    yid = len(images)
-                    tuple_ids[y] = yid
-                    images.append(y)
+                    yid = len(gids)
+                    local[gy] = yid
+                    gids.append(gy)
                     rank.append(r)
                     down.append([])
                     nxt.append(yid)
                 xdown.append(yid)
         frontier = nxt
-    del tuple_ids
-    elements = [w] + [cls(im) for im in images[1:]]
+    del local
+    nodes = graph.elements
+    elements = [nodes[g] for g in gids]
     up: list[list[int]] = [[] for _ in elements]
-    for xid, ys in enumerate(down):
+    for xid, ys in enumerate(down):  # xid ascends, so each up list comes out sorted
         ys.sort()
         for yid in ys:
             up[yid].append(xid)
-    for xs in up:
-        xs.sort()
     bottoms = [i for i, r in enumerate(rank) if r == 0]
     if len(bottoms) != 1 or not elements[bottoms[0]].is_identity():
         raise AssertionError("interval lacks a unique identity minimum")

@@ -87,6 +87,8 @@ def interval_from_dict(d: dict) -> BruhatInterval:
     elements = [parse_element(t, kind) for t in d["vertices"]]
     index = {x: i for i, x in enumerate(elements)}
     rank = list(d["ranks"])
+    if any(a < b for a, b in zip(rank, rank[1:])):
+        raise ValueError("interval vertices must come in non-increasing rank order")
     down: list[list[int]] = [[] for _ in elements]
     for x, y in d["edges"]:
         down[x].append(y)

@@ -206,6 +206,13 @@ class TestRoundTrips:
         interval = build_interval(el)
         assert interval_from_dict(interval_to_dict(interval)) == interval
 
+    def test_interval_out_of_rank_order_rejected(self):
+        doc = interval_to_dict(build_interval(parse_permutation("231")))
+        doc["vertices"].reverse()
+        doc["ranks"].reverse()
+        with pytest.raises(ValueError, match="non-increasing rank order"):
+            interval_from_dict(doc)
+
     def test_decomposition(self):
         d = polished_decompose(parse_permutation("154973268"))
         assert decomposition_from_dict(decomposition_to_dict(d)) == d

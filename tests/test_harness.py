@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 
 from bruhatdual import harness
+from bruhatdual.intervals import subword_downset
+from bruhatdual.permutations import Permutation
 
 
 def failing_on(real, is_target, exc):
@@ -63,3 +67,20 @@ class TestJobs:
             harness.verify_main(3, jobs=jobs)
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             harness.verify_topheavy(3, jobs=jobs)
+
+
+class TestGammaGraphsDirect:
+    def test_length_two_side_matches_brute_scan_s6(self):
+        length_two = [
+            Permutation(im)
+            for im in itertools.permutations(range(1, 7))
+            if sum(a > b for a, b in itertools.combinations(im, 2)) == 2
+        ]
+        for im in itertools.permutations(range(1, 7)):
+            w = Permutation(im)
+            if w.length() < 2:
+                continue
+            below = subword_downset(w)
+            expected = sorted((u for u in length_two if u in below), key=lambda x: x.images)
+            lower, _ = harness.gamma_graphs_direct(w)
+            assert list(lower.big) == expected

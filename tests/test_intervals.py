@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracle_utils import all_one_lines, brute_interval, brute_leq, brute_rank_profile
 
+from bruhatdual import intervals
 from bruhatdual.intervals import (
     bruhat_leq,
     build_interval,
@@ -27,6 +30,7 @@ from bruhatdual.permutations import (
     parse_permutation,
     simple_transposition,
 )
+from bruhatdual.signed import CoxeterPresentation, SignedPermutation, group_elements
 
 perms = lambda n: st.permutations(list(range(1, n + 1))).map(tuple).map(Permutation)
 
@@ -81,6 +85,13 @@ class TestBruhatLeq:
             down = subword_downset(w)
             for u in els:
                 assert bruhat_leq(u, w) == (u in down)
+
+    @pytest.mark.parametrize("u,w", [("3124", "1243"), ("3412", "4123")])
+    def test_longer_and_incomparable(self, u, w):
+        u, w = parse_permutation(u), parse_permutation(w)
+        assert u.length() > w.length()
+        assert not bruhat_leq(u, w) and not bruhat_leq(w, u)
+        assert not subword_leq(u, w) and not subword_leq(w, u)
 
     @given(perms(6), perms(6))
     @settings(max_examples=150)
@@ -158,6 +169,22 @@ class TestInterval:
             assert interval.index == {x: i for i, x in enumerate(elements)}
             assert set(interval.elements) == subword_downset(w)
 
+    @pytest.mark.parametrize(
+        "ws",
+        [
+            [Permutation(im) for im in all_one_lines(5)],
+            list(group_elements(CoxeterPresentation("B", 3))),
+        ],
+        ids=["S5", "B3"],
+    )
+    def test_ids_at_rank_is_contiguous_layer(self, ws):
+        for w in ws:
+            interval = build_interval(w)
+            assert all(a >= b for a, b in zip(interval.rank, interval.rank[1:]))
+            for k in range(-1, interval.top_rank + 2):
+                scan = [i for i in range(interval.size) if interval.rank[i] == k]
+                assert interval.ids_at_rank(k) == scan
+
     def test_diamond_property(self):
         # every rank-2 subinterval has exactly two middle elements
         for im in all_one_lines(4):
@@ -168,6 +195,85 @@ class TestInterval:
                     for low in interval.down[mid]:
                         grandchildren[low] = grandchildren.get(low, 0) + 1
                 assert all(count == 2 for count in grandchildren.values())
+
+
+def interval_fields(interval):
+    return (
+        interval.top,
+        interval.elements,
+        interval.index,
+        interval.rank,
+        interval.down,
+        interval.up,
+    )
+
+
+class TestCoverGraph:
+    """build_interval reads covers from a per-class graph kept across calls;
+    no interval may see another's state through it."""
+
+    def test_interleaved_classes(self, monkeypatch):
+        monkeypatch.setattr(intervals, "_COVER_GRAPHS", {})
+        groups = [
+            [Permutation(im) for im in all_one_lines(3)],
+            list(group_elements(CoxeterPresentation("B", 3))),
+            [Permutation(im) for im in all_one_lines(4)],
+            list(group_elements(CoxeterPresentation("B", 2))),
+        ]
+        for ws in itertools.zip_longest(*groups):
+            for w in ws:
+                if w is not None:
+                    interval = build_interval(w)
+                    assert set(interval.elements) == subword_downset(w)
+                    assert all(type(x) is type(w) for x in interval.elements)
+        assert set(intervals._COVER_GRAPHS) == {Permutation, SignedPermutation}
+
+    def test_cold_and_warm_builds_agree(self, monkeypatch):
+        ws = [Permutation(im) for im in random.Random(3).sample(list(all_one_lines(6)), 40)]
+        monkeypatch.setattr(intervals, "_COVER_GRAPHS", {})
+        cold = [interval_fields(build_interval(w)) for w in ws]
+        warm = [interval_fields(build_interval(w)) for w in reversed(ws)][::-1]
+        assert warm == cold
+        monkeypatch.setattr(intervals, "_COVER_GRAPHS", {})
+        assert [interval_fields(build_interval(w)) for w in reversed(ws)][::-1] == cold
+
+    def test_returned_lists_are_fresh(self):
+        w = parse_permutation("34521")
+        first = build_interval(w)
+        expected = interval_fields(build_interval(w))
+        first.elements.reverse()
+        first.elements.append(identity(5))
+        first.down[0].clear()
+        first.down.append([0])
+        again = build_interval(w)
+        assert interval_fields(again) == expected
+        assert again.elements is not first.elements and again.down[0] is not first.down[0]
+
+    def test_concurrent_growth(self, monkeypatch):
+        ws = [Permutation(im) for im in random.Random(5).sample(list(all_one_lines(6)), 24)]
+        monkeypatch.setattr(intervals, "_COVER_GRAPHS", {})
+        expected = [interval_fields(build_interval(w)) for w in ws]
+        monkeypatch.setattr(intervals, "_COVER_GRAPHS", {})
+        results: dict[int, list] = {}
+
+        def work(t):
+            results[t] = [interval_fields(build_interval(w)) for w in ws[t:] + ws[:t]]
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        for t in range(4):
+            assert results[t] == expected[t:] + expected[:t]
+        graph = intervals._COVER_GRAPHS[Permutation]
+        assert graph.ids == {x.images: g for g, x in enumerate(graph.elements)}
 
 
 class TestDegreeExtremes:
