@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Run every verification sweep at desk scale and write the JSON reports.
 
-The self-duality equivalence runs in full mode through S_6 and in
-constructive-only mode at S_7; the degree sweep runs through S_6; the type-B
-counterexample gate always runs.  Reports land in reports/ (or the directory
-given as the first argument).
+The self-duality equivalence runs through S_6 in full mode and through S_7
+in constructive-only and in full mode; the degree sweep runs through S_6;
+the type-B counterexample gate always runs.  Reports land in reports/ (or
+the directory given as the first argument).
 
 Usage:  python3 scripts/run_full_verification.py [outdir] [--jobs N]
 """
@@ -28,6 +28,7 @@ def main() -> int:
     runs = [
         ("main_n6_full", lambda: verify_main(6, sd4_mode="full", jobs=args.jobs)),
         ("main_n7_constructive", lambda: verify_main(7, sd4_mode="constructive-only", jobs=args.jobs)),
+        ("main_n7_full", lambda: verify_main(7, sd4_mode="full", jobs=args.jobs)),
         ("topheavy_n6", lambda: verify_topheavy(6, jobs=args.jobs)),
         ("counterexamples", verify_counterexamples),
     ]

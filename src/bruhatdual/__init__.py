@@ -25,13 +25,10 @@ from .intervals import (
     subword_leq,
 )
 from .permutations import (
-    BlockDecomposition,
     ParseError,
     PatternOccurrence,
     Permutation,
-    block_decompose,
     contains_pattern,
-    is_minimal_occurrence,
     parse_permutation,
 )
 from .polished import (
@@ -63,7 +60,6 @@ def longest_element(group: "CoxeterPresentation", J) -> "object":
 
 
 __all__ = [
-    "BlockDecomposition",
     "BruhatInterval",
     "CoxeterPresentation",
     "DualityCertificate",
@@ -83,7 +79,6 @@ __all__ = [
     "avoids_selfdual_patterns",
     "avoids_smooth_patterns",
     "bipartite_isomorphic",
-    "block_decompose",
     "bruhat_leq",
     "build_interval",
     "certify_self_dual",
@@ -96,7 +91,6 @@ __all__ = [
     "gamma_lower",
     "gamma_upper",
     "is_bp_decomposition",
-    "is_minimal_occurrence",
     "is_polished_bruteforce",
     "longest_element",
     "longest_parabolic",

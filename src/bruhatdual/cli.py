@@ -86,7 +86,7 @@ def cmd_analyze(perm_text: str, output: str | None) -> None:
 @click.option(
     "--force-full",
     is_flag=True,
-    help="Keep full mode at n = 7 (refutation search over 5040-element intervals).",
+    help="Accepted and ignored: full mode runs the refutation search at every n.",
 )
 @click.option("--output", default=None)
 def cmd_verify_main(n_max: int, sd4_mode: str, jobs: int, force_full: bool, output: str | None):

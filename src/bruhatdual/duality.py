@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .intervals import BruhatInterval, bruhat_leq, rank_profile
 from .permutations import Permutation
@@ -277,20 +277,17 @@ class DualityCertificate:
         return self.kind != "refuted"
 
 
-def _is_antiautomorphism(interval: BruhatInterval, pairing: dict[Element, Element]) -> bool:
-    if len(pairing) != interval.size:
-        return False
-    ids = {}
-    for x, y in pairing.items():
-        xi = interval.index.get(x)
-        yi = interval.index.get(y)
-        if xi is None or yi is None:
-            return False
-        ids[xi] = yi
-    if len(set(ids.values())) != interval.size:
-        return False
-    edge_set = {(x, y) for x, ys in enumerate(interval.down) for y in ys}
-    return all((ids[y], ids[x]) in edge_set for x, y in edge_set)
+def _reverses_covers(interval: BruhatInterval, image: list[int]) -> bool:
+    """Whether the id map x -> image[x] turns every cover y < x into a cover
+    image[x] < image[y].  A bijection that does so carries the cover relation
+    onto its reverse, so it is an order-reversing bijection of [e, w]."""
+    down = interval.down
+    for x, ys in enumerate(down):
+        ix = image[x]
+        for y in ys:
+            if ix not in down[image[y]]:
+                return False
+    return True
 
 
 def certify_self_dual(
@@ -306,36 +303,38 @@ def certify_self_dual(
     """
     if decomp_hint is not None:
         dual = DualityMap(interval.top, decomp_hint)
-        pairing = {x: dual(x) for x in interval.elements}
-        if not _is_antiautomorphism(interval, pairing):
+        elements, index = interval.elements, interval.index
+        image = [index.get(dual(x), -1) for x in elements]
+        if -1 in image or len(set(image)) != interval.size or not _reverses_covers(interval, image):
             raise ValueError("decomposition hint does not induce an antiautomorphism")
+        pairing = {x: elements[y] for x, y in zip(elements, image)}
         return DualityCertificate("constructive-map", pairing, None)
 
     profile = rank_profile(interval)
     if profile != profile[::-1]:
         return DualityCertificate("refuted", None, f"rank profile {profile} is asymmetric")
 
-    mapping = _search_antiautomorphism(interval)
+    colors = _initial_colors(interval)
+    mapping = None if colors is None else _search_antiautomorphism(interval, colors)
     if mapping is None:
-        trace = _refinement_summary(interval)
-        return DualityCertificate("refuted", None, trace)
+        return DualityCertificate("refuted", None, _refinement_summary(colors))
     pairing = {interval.elements[x]: interval.elements[y] for x, y in enumerate(mapping)}
     return DualityCertificate("explicit-bijection", pairing, None)
+
+
+def _interner() -> Callable[[tuple], int]:
+    """Maps each new signature to the next unused color; colors drawn from one
+    interner are comparable, so source and dual-target share one per round."""
+    table: dict[tuple, int] = {}
+    return lambda sig: table.setdefault(sig, len(table))
 
 
 def _refine(
     interval: BruhatInterval, src: list[int], tgt: list[int]
 ) -> tuple[list[int], list[int], bool]:
-    """One simultaneous refinement round; colors are interned through a shared
-    table so source and dual-target colors stay comparable."""
+    """One simultaneous refinement round of the source and dual-target colors."""
     up, down = interval.up, interval.down
-    table: dict[tuple, int] = {}
-
-    def intern(sig: tuple) -> int:
-        if sig not in table:
-            table[sig] = len(table)
-        return table[sig]
-
+    intern = _interner()
     new_src = [
         intern((src[x], tuple(sorted(src[y] for y in up[x])), tuple(sorted(src[y] for y in down[x]))))
         for x in range(interval.size)
@@ -360,14 +359,10 @@ def _refine_to_stable(
 
 
 def _initial_colors(interval: BruhatInterval) -> Optional[tuple[list[int], list[int]]]:
+    """The stable root refinement of the source and dual-target colors, or
+    None when their multisets part on the way."""
     top = interval.top_rank
-    table: dict[tuple, int] = {}
-
-    def intern(sig: tuple) -> int:
-        if sig not in table:
-            table[sig] = len(table)
-        return table[sig]
-
+    intern = _interner()
     src = [
         intern((interval.rank[x], len(interval.up[x]), len(interval.down[x])))
         for x in range(interval.size)
@@ -381,14 +376,13 @@ def _initial_colors(interval: BruhatInterval) -> Optional[tuple[list[int], list[
     return _refine_to_stable(interval, src, tgt)
 
 
-def _search_antiautomorphism(interval: BruhatInterval) -> Optional[list[int]]:
-    """Backtracking individualization-refinement; returns ids mapping x to
-    its image under some order-reversing bijection, or None."""
-    colors = _initial_colors(interval)
-    if colors is None:
-        return None
+def _search_antiautomorphism(
+    interval: BruhatInterval, colors: tuple[list[int], list[int]]
+) -> Optional[list[int]]:
+    """Backtracking individualization-refinement from the stable root
+    ``colors``; returns ids mapping x to its image under some
+    order-reversing bijection, or None."""
     size = interval.size
-    edge_set = {(x, y) for x, ys in enumerate(interval.down) for y in ys}
 
     def extract(src: list[int], tgt: list[int]) -> Optional[list[int]]:
         by_color: dict[int, list[int]] = {}
@@ -406,9 +400,7 @@ def _search_antiautomorphism(interval: BruhatInterval) -> Optional[list[int]]:
                 if len(ys) != 1:
                     return None
                 mapping[x] = ys[0]
-            if all((mapping[y], mapping[x]) in edge_set for x, y in edge_set):
-                return mapping
-            return None
+            return mapping if _reverses_covers(interval, mapping) else None
         # individualize the most constrained vertex
         cell = next(c for c in cells if len(c) > 1)
         x = cell[0]
@@ -430,8 +422,9 @@ def _search_antiautomorphism(interval: BruhatInterval) -> Optional[list[int]]:
     return extract(*colors)
 
 
-def _refinement_summary(interval: BruhatInterval) -> str:
-    colors = _initial_colors(interval)
+def _refinement_summary(colors: Optional[tuple[list[int], list[int]]]) -> str:
+    """Why the search refuted: the shape of the stable root refinement, or the
+    root color multisets parting."""
     if colors is None:
         return "degree/rank color multisets of the interval and its dual differ"
     cells = Counter(Counter(colors[0]).values())

@@ -35,11 +35,11 @@ from .polished import (
     assemble_decomposition,
     avoids_selfdual_patterns,
     avoids_smooth_patterns,
+    is_polished_bruteforce,
     selfdual_pattern_witness,
 )
 from .signed import CoxeterPresentation, evaluate_word, group_elements
 from .diagrams import type_b_diagram
-from .polished import is_polished_bruteforce
 
 
 @dataclass
@@ -247,9 +247,8 @@ def verify_main(
     n_max: int, sd4_mode: str = "full", jobs: int = 1, force_full: bool = False
 ) -> VerificationReport:
     """Sweep every w in S_1..S_{n_max} and assert the four self-duality
-    predicates agree.  At n = 7 a requested full mode downgrades to
-    constructive-only unless force_full is set, since refutation search on
-    the largest intervals is the one expensive step."""
+    predicates agree.  ``sd4_mode`` applies at every n.  ``force_full`` is
+    accepted and ignored: full mode always runs the refutation search."""
     if not 1 <= n_max <= 8:
         raise ValueError("n_max must be between 1 and 8")
     if sd4_mode not in ("full", "constructive-only"):
@@ -259,10 +258,7 @@ def verify_main(
     tallies: dict[str, dict[str, int]] = {}
     checked = 0
     for n in range(1, n_max + 1):
-        mode = sd4_mode
-        if n >= 7 and mode == "full" and not force_full:
-            mode = "constructive-only"
-        chunk_args = [(n, first, mode) for first in range(1, n + 1)]
+        chunk_args = [(n, first, sd4_mode) for first in range(1, n + 1)]
         results = _run_chunks(_main_chunk, chunk_args, jobs)
         tally = {"smooth": 0, "polished": 0, "self_dual": 0}
         for res in results:
@@ -442,9 +438,9 @@ def analyze(w: Permutation) -> dict:
         "length": lw,
         "rank_profile": list(rank_profile(interval)),
         "smooth": avoids_smooth_patterns(w),
-        "six_avoiding": avoids_selfdual_patterns(w),
     }
     witness = selfdual_pattern_witness(w)
+    out["six_avoiding"] = witness is None
     if witness is None:
         decomp = assemble_decomposition(w)
         out["polished"] = True

@@ -18,7 +18,6 @@ by the distinct elements the process has touched.
 from __future__ import annotations
 
 import bisect
-import functools
 import operator
 import threading
 from array import array
@@ -51,28 +50,12 @@ def _dominance_leq(u: Permutation, w: Permutation) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=4096)
-def _downset(w: Element) -> frozenset[Element]:
-    """All u <= w, by closure of the cover relation (used for signed elements,
-    whose intervals stay small in this package)."""
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in x.down_covers():
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
-
-
 def bruhat_leq(u: Element, w: Element) -> bool:
     """u <= w in Bruhat order.
 
-    S_n uses the dominance criterion; signed permutations fall back to cover
-    closure.  Both agree with the subword oracle (tested exhaustively).
+    S_n uses the dominance criterion; signed permutations look u up in
+    [e, w] as build_interval builds it.  Both agree with the subword oracle
+    (tested exhaustively).
     """
     if type(u) is not type(w) or u.n != w.n:
         raise ValueError(f"cannot compare {u!r} and {w!r}")
@@ -80,7 +63,7 @@ def bruhat_leq(u: Element, w: Element) -> bool:
         return _dominance_leq(u, w)
     if u.length() > w.length():
         return False
-    return u in _downset(w)
+    return build_interval(w).contains(u)
 
 
 def reduced_word(w: Element) -> tuple[int, ...]:

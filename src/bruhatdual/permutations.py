@@ -1,6 +1,6 @@
 """Permutations of {1..n} in one-line notation, with the combinatorics needed
-for Bruhat-order work: inversions, descents, pattern containment, minimal
-inversions, and block (direct-sum) structure.
+for Bruhat-order work: inversions, descents, support, pattern containment
+and minimal inversions.
 
 Conventions:
 - One-line notation is 1-based: ``w.images[i-1] == w(i)``.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 
 class ParseError(ValueError):
@@ -257,24 +257,6 @@ class PatternOccurrence:
     indices: tuple[int, ...]
 
 
-def _matches(values: Sequence[int], pattern: tuple[int, ...]) -> bool:
-    k = len(pattern)
-    for a in range(k):
-        for b in range(a + 1, k):
-            if (values[a] < values[b]) != (pattern[a] < pattern[b]):
-                return False
-    return True
-
-
-def occurrence_values_valid(w: Permutation, occ: PatternOccurrence) -> bool:
-    ids = occ.indices
-    if len(ids) != occ.pattern.n or any(ids[a] >= ids[a + 1] for a in range(len(ids) - 1)):
-        return False
-    if ids and not (1 <= ids[0] and ids[-1] <= w.n):
-        return False
-    return _matches([w(i) for i in ids], occ.pattern.images)
-
-
 def contains_pattern(w: Permutation, p: Permutation) -> Optional[PatternOccurrence]:
     """Lexicographically least occurrence of p in w, or None if w avoids p.
 
@@ -308,90 +290,3 @@ def contains_pattern(w: Permutation, p: Permutation) -> Optional[PatternOccurren
     if found is None:
         return None
     return PatternOccurrence(p, found)
-
-
-def all_occurrences(w: Permutation, p: Permutation) -> Iterator[PatternOccurrence]:
-    for ids in itertools.combinations(range(1, w.n + 1), p.n):
-        if _matches([w(i) for i in ids], p.images):
-            yield PatternOccurrence(p, ids)
-
-
-def is_minimal_occurrence(w: Permutation, occ: PatternOccurrence) -> bool:
-    """True when no competing occurrence fits weakly inside this one (in both
-    position and value span) and strictly shrinks at least one of the four
-    boundaries."""
-    if not occurrence_values_valid(w, occ):
-        raise ValueError(f"not an occurrence of {occ.pattern.one_line()} in {w.one_line()}: {occ.indices}")
-    a1, ak = occ.indices[0], occ.indices[-1]
-    vals = [w(i) for i in occ.indices]
-    lo, hi = min(vals), max(vals)
-    for other in all_occurrences(w, occ.pattern):
-        if other.indices == occ.indices:
-            continue
-        b1, bk = other.indices[0], other.indices[-1]
-        ovals = [w(i) for i in other.indices]
-        olo, ohi = min(ovals), max(ovals)
-        if b1 >= a1 and bk <= ak and olo >= lo and ohi <= hi:
-            if b1 > a1 or bk < ak or olo > lo or ohi < hi:
-                return False
-    return True
-
-
-def minimal_occurrence(w: Permutation, p: Permutation) -> Optional[PatternOccurrence]:
-    """Some minimal occurrence of p in w (every containment admits one)."""
-    found = False
-    for o in all_occurrences(w, p):
-        found = True
-        if is_minimal_occurrence(w, o):
-            return o
-    if found:
-        raise AssertionError("containment without a minimal occurrence")
-    return None
-
-
-# -- block (direct sum) structure ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Finest splitting of w into a direct sum over consecutive stabilized
-    intervals of positions."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    factors: tuple[Permutation, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.blocks)
-
-
-def block_decompose(w: Permutation) -> BlockDecomposition:
-    """Split at every m with w({1..m}) = {1..m}.
-
-    >>> d = block_decompose(Permutation((2, 1, 4, 3)))
-    >>> d.blocks
-    ((1, 2), (3, 4))
-    >>> [f.one_line() for f in d.factors]
-    ['21', '21']
-    """
-    blocks = []
-    factors = []
-    start = 1
-    seen_max = 0
-    for i in range(1, w.n + 1):
-        seen_max = max(seen_max, w(i))
-        if seen_max == i:
-            blocks.append(tuple(range(start, i + 1)))
-            factors.append(Permutation(tuple(w(j) - start + 1 for j in range(start, i + 1))))
-            start = i + 1
-    return BlockDecomposition(tuple(blocks), tuple(factors))
-
-
-def block_count(w: Permutation) -> int:
-    seen_max = 0
-    b = 0
-    for i in range(1, w.n + 1):
-        seen_max = max(seen_max, w(i))
-        if seen_max == i:
-            b += 1
-    return b

@@ -93,12 +93,10 @@ def interval_from_dict(d: dict) -> BruhatInterval:
     for x, y in d["edges"]:
         down[x].append(y)
     up: list[list[int]] = [[] for _ in elements]
-    for x, ys in enumerate(down):
+    for x, ys in enumerate(down):  # x ascends, so each up list comes out sorted
         ys.sort()
         for y in ys:
             up[y].append(x)
-    for xs in up:
-        xs.sort()
     return BruhatInterval(elements[0], elements, index, rank, down, up)
 
 

@@ -207,18 +207,6 @@ class CoxeterPresentation:
             raise ValueError("rank must be positive")
 
     @property
-    def coxeter_matrix(self) -> tuple[tuple[int, ...], ...]:
-        r = self.rank
-        m = [[2] * r for _ in range(r)]
-        for i in range(r):
-            m[i][i] = 1
-        for i in range(r - 1):
-            m[i][i + 1] = m[i + 1][i] = 3
-        if self.kind == "B" and r >= 2:
-            m[r - 2][r - 1] = m[r - 1][r - 2] = 4
-        return tuple(tuple(row) for row in m)
-
-    @property
     def diagram(self) -> DynkinDiagram:
         if self.kind == "A":
             return type_a_diagram(self.rank)
@@ -234,16 +222,6 @@ class CoxeterPresentation:
         if self.kind == "A":
             return math.factorial(n + 1)
         return (2**n) * math.factorial(n)
-
-
-def presentation_from_matrix(matrix: Sequence[Sequence[int]]) -> CoxeterPresentation:
-    """Recognize a type-A or type-B Coxeter matrix; reject anything else."""
-    r = len(matrix)
-    for kind in ("A", "B"):
-        cand = CoxeterPresentation(kind, r)
-        if cand.coxeter_matrix == tuple(tuple(row) for row in matrix):
-            return cand
-    raise ValueError("matrix is not of type A or B; unsupported")
 
 
 class WordResult(NamedTuple):

@@ -69,6 +69,23 @@ class TestJobs:
             harness.verify_topheavy(3, jobs=jobs)
 
 
+class TestSd4Mode:
+    @pytest.mark.parametrize("force_full", [False, True])
+    def test_full_mode_stays_full_at_seven(self, monkeypatch, force_full):
+        seen = []
+
+        def record(worker, chunk_args, jobs):
+            seen.extend(chunk_args)
+            return [{"checked": 0, "tally": {"smooth": 0, "polished": 0, "self_dual": 0},
+                     "violations": []} for _ in chunk_args]
+
+        monkeypatch.setattr(harness, "_run_chunks", record)
+        harness.verify_main(7, "full", jobs=2, force_full=force_full)
+        at_seven = [args for args in seen if args[0] == 7]
+        assert [first for _, first, _ in at_seven] == list(range(1, 8))
+        assert {mode for *_, mode in seen} == {"full"}
+
+
 class TestGammaGraphsDirect:
     def test_length_two_side_matches_brute_scan_s6(self):
         length_two = [

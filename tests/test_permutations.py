@@ -2,20 +2,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracle_utils import SIX_PATTERNS, all_one_lines, brute_contains, brute_length
+from oracle_utils import (
+    SIX_PATTERNS,
+    all_one_lines,
+    brute_contains,
+    brute_length,
+    brute_occurrences,
+)
 
+from bruhatdual.intervals import reduced_word
 from bruhatdual.permutations import (
     ParseError,
-    PatternOccurrence,
     Permutation,
-    all_occurrences,
-    block_count,
-    block_decompose,
     contains_pattern,
     identity,
-    is_minimal_occurrence,
     longest_permutation,
-    minimal_occurrence,
     parse_permutation,
 )
 
@@ -96,8 +97,9 @@ class TestBasics:
 
     @given(perms(6))
     def test_support_matches_blocks(self, w):
-        # one block boundary per missing support generator
-        assert block_count(w) == w.n - len(w.support())
+        # s_i is in the support iff w does not stabilize {1..i}, iff it occurs
+        # in a reduced word
+        assert w.support() == set(reduced_word(w))
 
 
 class TestPatterns:
@@ -115,7 +117,7 @@ class TestPatterns:
     def test_lex_least_occurrence(self):
         w, p = parse_permutation("45321"), parse_permutation("3421")
         occ = contains_pattern(w, p)
-        assert occ.indices == min(o.indices for o in all_occurrences(w, p))
+        assert occ.indices == min(brute_occurrences(w.images, p.images))
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_agrees_with_bruteforce(self, n):
@@ -131,36 +133,6 @@ class TestPatterns:
             direct = contains_pattern(w, p) is None
             mirrored = contains_pattern(w.inverse(), p.inverse()) is None
             assert direct == mirrored
-
-
-class TestMinimalOccurrences:
-    def test_paper_nonminimal(self):
-        w, p = parse_permutation("45321"), parse_permutation("3421")
-        assert not is_minimal_occurrence(w, PatternOccurrence(p, (1, 2, 4, 5)))
-
-    def test_paper_minimal(self):
-        w, p = parse_permutation("45321"), parse_permutation("3421")
-        assert is_minimal_occurrence(w, PatternOccurrence(p, (1, 2, 3, 4)))
-
-    def test_self_occurrence_minimal(self):
-        p = parse_permutation("3421")
-        assert is_minimal_occurrence(p, PatternOccurrence(p, (1, 2, 3, 4)))
-
-    def test_invalid_occurrence_rejected(self):
-        w, p = parse_permutation("45321"), parse_permutation("3421")
-        # values at (1,3,4,5) are 4,3,2,1: not in the pattern's relative order
-        with pytest.raises(ValueError, match="not an occurrence"):
-            is_minimal_occurrence(w, PatternOccurrence(p, (1, 3, 4, 5)))
-
-    @pytest.mark.parametrize("n", [5, 6])
-    def test_every_containment_has_minimal(self, n):
-        pats = [Permutation(p) for p in SIX_PATTERNS]
-        for im in all_one_lines(n):
-            w = Permutation(im)
-            for p in pats:
-                if brute_contains(im, p.images):
-                    occ = minimal_occurrence(w, p)
-                    assert occ is not None and is_minimal_occurrence(w, occ)
 
 
 class TestMinimalInversions:
@@ -192,27 +164,3 @@ class TestMinimalInversions:
                     if v.length() == lw - 1:
                         expected.add((i, j))
             assert set(w.minimal_inversions()) == expected
-
-
-class TestBlocks:
-    def test_2143(self):
-        d = block_decompose(parse_permutation("2143"))
-        assert d.blocks == ((1, 2), (3, 4))
-        assert [f.one_line() for f in d.factors] == ["21", "21"]
-
-    def test_identity_singletons(self):
-        d = block_decompose(identity(5))
-        assert d.count == 5 and all(len(b) == 1 for b in d.blocks)
-
-    def test_34521_single_block(self):
-        assert block_decompose(parse_permutation("34521")).count == 1
-
-    @given(perms(6))
-    def test_factors_recompose(self, w):
-        d = block_decompose(w)
-        rebuilt = []
-        for block, f in zip(d.blocks, d.factors):
-            rebuilt.extend(v + block[0] - 1 for v in f.images)
-        assert tuple(rebuilt) == w.images
-        for block in d.blocks:
-            assert {w(i) for i in block} == set(block)

@@ -17,7 +17,6 @@ from bruhatdual.signed import (
     evaluate_word,
     group_elements,
     parse_word,
-    presentation_from_matrix,
     reflections_b,
     signed_identity,
 )
@@ -50,15 +49,8 @@ class TestGroupStructure:
         assert order(s1 * s3) == 2
 
     def test_coxeter_matrix_and_diagram(self):
-        assert B3.coxeter_matrix == ((1, 3, 2), (3, 1, 4), (2, 4, 1))
         assert B3.diagram == type_b_diagram(3)
         assert A3.diagram == type_a_diagram(3)
-
-    def test_matrix_recognition(self):
-        assert presentation_from_matrix(B3.coxeter_matrix) == B3
-        assert presentation_from_matrix(A3.coxeter_matrix) == A3
-        with pytest.raises(ValueError, match="unsupported"):
-            presentation_from_matrix(((1, 5), (5, 1)))
 
     def test_unsupported_type_rejected(self):
         with pytest.raises(ValueError, match="only A and B"):
