@@ -7,7 +7,10 @@ file each, so two checkouts can be compared with `diff -r`.
   and the same documents for the B_3 counterexample (the CLI parses only
   permutations, so those come from the serializers it uses);
 - reports/: verify_main(6) in full and constructive-only mode,
-  verify_topheavy(6) and verify_counterexamples(), without `wall_time`.
+  verify_topheavy(6) and verify_counterexamples(), without `wall_time`;
+- certify/: one file per group, S_1..S_5 and B_3, with the search
+  certificate of every element (kind, refinement trace, pairing as sorted
+  one-line pairs) and, for the six-pattern avoiders of S_n, the hinted one.
 
 The package is imported from the environment, so point PYTHONPATH at the
 checkout to snapshot:
@@ -27,16 +30,18 @@ from click.testing import CliRunner
 
 import bruhatdual
 from bruhatdual.cli import main as cli
-from bruhatdual.duality import gamma_lower, gamma_upper
+from bruhatdual.duality import certify_self_dual, gamma_lower, gamma_upper
 from bruhatdual.harness import verify_counterexamples, verify_main, verify_topheavy
 from bruhatdual.intervals import build_interval
+from bruhatdual.permutations import Permutation
+from bruhatdual.polished import avoids_selfdual_patterns, polished_decompose
 from bruhatdual.serialize import (
     interval_to_dict,
     interval_to_dot,
     level_graph_to_dict,
     level_graph_to_dot,
 )
-from bruhatdual.signed import CoxeterPresentation, evaluate_word
+from bruhatdual.signed import CoxeterPresentation, evaluate_word, group_elements
 
 B3_COUNTEREXAMPLE_WORD = (3, 2, 3, 1, 2, 3, 1, 2)
 EXTRA_ANALYZED = ("34521", "154973268")
@@ -49,11 +54,29 @@ def cli_stdout(args: list[str]) -> str:
     return result.stdout
 
 
+def certificate_doc(cert) -> dict:
+    pairing = None
+    if cert.pairing is not None:
+        pairing = sorted(f"{x.one_line()} {y.one_line()}" for x, y in cert.pairing.items())
+    return {"kind": cert.kind, "trace": cert.refinement_trace, "pairing": pairing}
+
+
+def certify_docs(elements) -> list[dict]:
+    docs = []
+    for w in elements:
+        interval = build_interval(w)
+        doc = {"w": w.one_line(), "search": certificate_doc(certify_self_dual(interval))}
+        if isinstance(w, Permutation) and avoids_selfdual_patterns(w):
+            doc["hinted"] = certificate_doc(certify_self_dual(interval, polished_decompose(w)))
+        docs.append(doc)
+    return docs
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("outdir")
     outdir = pathlib.Path(ap.parse_args().outdir)
-    for sub in ("analyze", "export", "reports"):
+    for sub in ("analyze", "export", "reports", "certify"):
         (outdir / sub).mkdir(parents=True, exist_ok=True)
     print(f"snapshotting {pathlib.Path(bruhatdual.__file__).parent}", file=sys.stderr)
 
@@ -77,6 +100,15 @@ def main() -> int:
         docs[f"{what}.dot"] = level_graph_to_dot(graph, b3)
     for name, text in docs.items():
         (outdir / "export" / f"b3-counterexample-{name}").write_text(text)
+
+    groups = {
+        f"S{n}": [Permutation(im) for im in itertools.permutations(range(1, n + 1))]
+        for n in range(1, 6)
+    }
+    groups["B3"] = sorted(group_elements(CoxeterPresentation("B", 3)), key=lambda x: x.images)
+    for name, elements in groups.items():
+        text = json.dumps(certify_docs(elements), indent=1)
+        (outdir / "certify" / f"{name}.json").write_text(text + "\n")
 
     runs = [
         ("main_n6_full", lambda: verify_main(6, sd4_mode="full")),

@@ -72,7 +72,7 @@ def cmd_analyze(perm_text: str, output: str | None) -> None:
 
 
 @main.command("verify-main")
-@click.option("--n-max", type=int, default=5, show_default=True)
+@click.option("--n-max", type=click.IntRange(1, 8), default=5, show_default=True)
 @click.option(
     "--sd4-mode",
     type=click.Choice(["full", "constructive-only"]),
@@ -91,22 +91,18 @@ def cmd_analyze(perm_text: str, output: str | None) -> None:
 @click.option("--output", default=None)
 def cmd_verify_main(n_max: int, sd4_mode: str, jobs: int, force_full: bool, output: str | None):
     """Check the four self-duality criteria agree on every w up to S_{n_max}."""
-    if not 1 <= n_max <= 8:
-        raise click.ClickException("--n-max must be between 1 and 8")
     report = verify_main(n_max, sd4_mode=sd4_mode, jobs=jobs, force_full=force_full)
     _finish_report(report, output)
 
 
 @main.command("verify-topheavy")
-@click.option("--n-max", type=int, default=5, show_default=True)
+@click.option("--n-max", type=click.IntRange(2, 7), default=5, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="BRUHAT_JOBS",
               show_default=True)
 @click.option("--output", default=None)
 def cmd_verify_topheavy(n_max: int, jobs: int, output: str | None):
     """Check cover-degree top-heaviness (equality iff six-avoiding) on smooth
     elements, and rank top-heaviness on everything up to min(n_max, 6)."""
-    if not 2 <= n_max <= 7:
-        raise click.ClickException("--n-max must be between 2 and 7")
     report = verify_topheavy(n_max, jobs=jobs)
     _finish_report(report, output)
 

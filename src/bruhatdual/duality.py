@@ -1,13 +1,15 @@
 """Level graphs between the extreme rank pairs of [e, w], bipartite-graph
 isomorphism, the explicit duality map coming from a polished decomposition,
-and poset self-duality certification by refinement-plus-backtracking search.
+and poset self-duality certification.  The hinted path checks the map's
+images by id.  The search looks for an isomorphism from [e, w] to its dual
+by refining one color array over their disjoint union (McKay-Piperno 2014).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .intervals import BruhatInterval, bruhat_leq, rank_profile
 from .permutations import Permutation
@@ -199,7 +201,8 @@ class DualityMap:
     Type A only: every parabolic subgroup involved is then a Young subgroup,
     held as its position windows.  The right factorization across W_J sorts
     within the windows of J, w_0(J) reverses them, and products compose raw
-    one-line tuples.  Each image is checked to lie in [e, w].
+    one-line tuples.  It makes no Bruhat comparison: duality_map checks one
+    image, certify_self_dual a whole interval's images by id.
     """
 
     def __init__(self, w: Element, decomp: PolishedDecomposition):
@@ -226,9 +229,6 @@ class DualityMap:
         ]
 
     def __call__(self, u: Element) -> Permutation:
-        w = self.w
-        if not bruhat_leq(u, w):
-            raise ValueError(f"{u!r} is not below {w!r}")
         parts = []
         rem = u.images
         for windows in self._block_windows:
@@ -236,27 +236,30 @@ class DualityMap:
             parts.append(part)
         if rem != self._identity:
             raise ValueError(
-                f"decomposition does not account for {Permutation(rem)!r}: invalid for {w!r}"
+                f"decomposition does not account for {Permutation(rem)!r}: invalid for {self.w!r}"
             )
         factors = []
         for (jp_windows, w0_j, w0_meet, w0_jp), ui in zip(self._blocks, reversed(parts)):
             quotient, parabolic = _split(ui, jp_windows)
             factors += (w0_j, quotient, w0_meet, parabolic, w0_jp)
-        out = Permutation(_product(factors)) if factors else w.identity_like()
-        if not bruhat_leq(out, w):
-            raise AssertionError(f"duality image {out!r} escaped [e, {w!r}]")
-        return out
+        return Permutation(_product(factors)) if factors else self.w.identity_like()
 
 
 def duality_map(w: Element, decomp: PolishedDecomposition, u: Element) -> Element:
-    """The duality map of ``decomp`` applied to one u <= w: a thin wrapper
-    that compiles a DualityMap for (w, decomp) and applies it once.  Callers
-    mapping a whole interval compile the map once and reuse it.
+    """The duality map of ``decomp`` applied to one u <= w, checked at both
+    ends.  Callers mapping a whole interval compile a DualityMap once and
+    check its images against the interval, as certify_self_dual does.
 
     Raises ValueError when u is not below w or the decomposition does not
     account for u, AssertionError when the image escapes [e, w].
     """
-    return DualityMap(w, decomp)(u)
+    dual = DualityMap(w, decomp)
+    if not bruhat_leq(u, w):
+        raise ValueError(f"{u!r} is not below {w!r}")
+    out = dual(u)
+    if not bruhat_leq(out, w):
+        raise AssertionError(f"duality image {out!r} escaped [e, {w!r}]")
+    return out
 
 
 # -- self-duality certification ----------------------------------------------------
@@ -296,10 +299,11 @@ def certify_self_dual(
     """Decide whether [e, w] is self-dual.
 
     With a decomposition hint, apply the explicit duality map everywhere and
-    verify it reverses the covers.  Without one, search for an
-    order-reversing bijection of the Hasse diagram by iterated color
-    refinement with individualization; refutation means the search space is
-    exhausted.
+    verify by id that the images lie in [e, w], form a bijection and reverse
+    the covers; a hint failing any of these raises ValueError.  Without one,
+    search for an order-reversing bijection of the Hasse diagram by iterated
+    color refinement of [e, w] and its dual with individualization;
+    refutation means the search space is exhausted.
     """
     if decomp_hint is not None:
         dual = DualityMap(interval.top, decomp_hint)
@@ -315,119 +319,99 @@ def certify_self_dual(
         return DualityCertificate("refuted", None, f"rank profile {profile} is asymmetric")
 
     colors = _initial_colors(interval)
-    mapping = None if colors is None else _search_antiautomorphism(interval, colors)
-    if mapping is None:
-        return DualityCertificate("refuted", None, _refinement_summary(colors))
-    pairing = {interval.elements[x]: interval.elements[y] for x, y in enumerate(mapping)}
-    return DualityCertificate("explicit-bijection", pairing, None)
+    if colors is not None:
+        graph = _dual_union(interval)
+        colors = _refine_to_stable(graph, colors)
+        mapping = _search_antiautomorphism(interval, graph, colors)
+        if mapping is not None:
+            pairing = {interval.elements[x]: interval.elements[y] for x, y in enumerate(mapping)}
+            return DualityCertificate("explicit-bijection", pairing, None)
+    return DualityCertificate("refuted", None, _refinement_summary(colors))
 
 
-def _interner() -> Callable[[tuple], int]:
-    """Maps each new signature to the next unused color; colors drawn from one
-    interner are comparable, so source and dual-target share one per round."""
-    table: dict[tuple, int] = {}
-    return lambda sig: table.setdefault(sig, len(table))
+_Graph = tuple[list[list[int]], list[list[int]]]
 
 
-def _refine(
-    interval: BruhatInterval, src: list[int], tgt: list[int]
-) -> tuple[list[int], list[int], bool]:
-    """One simultaneous refinement round of the source and dual-target colors."""
-    up, down = interval.up, interval.down
-    intern = _interner()
-    new_src = [
-        intern((src[x], tuple(sorted(src[y] for y in up[x])), tuple(sorted(src[y] for y in down[x]))))
-        for x in range(interval.size)
-    ]
-    new_tgt = [
-        intern((tgt[x], tuple(sorted(tgt[y] for y in down[x])), tuple(sorted(tgt[y] for y in up[x]))))
-        for x in range(interval.size)
-    ]
-    return new_src, new_tgt, Counter(new_src) == Counter(new_tgt)
+def _dual_union(interval: BruhatInterval) -> _Graph:
+    """Up and down covers of [e, w] disjoint-union its dual on ids 0 .. 2*size - 1:
+    the dual vertex size + x is x with up and down swapped."""
+    size = interval.size
+    up = interval.up + [[size + y for y in ys] for ys in interval.down]
+    down = interval.down + [[size + y for y in ys] for ys in interval.up]
+    return up, down
 
 
-def _refine_to_stable(
-    interval: BruhatInterval, src: list[int], tgt: list[int]
-) -> Optional[tuple[list[int], list[int]]]:
+def _refine_to_stable(graph: _Graph, colors: list[int]) -> Optional[list[int]]:
+    """Refine the colors of the union, each round joining a vertex's color
+    with the sorted colors of its up and down covers, interned in id order,
+    until the number of colors stops growing.  None as soon as the two
+    halves' color multisets part: no isomorphism respects them."""
+    up, down = graph
+    size = len(colors) // 2
+    count = len(set(colors))
     while True:
-        new_src, new_tgt, compatible = _refine(interval, src, tgt)
-        if not compatible:
+        table: dict[tuple, int] = {}
+        new = [
+            table.setdefault((c, tuple(sorted([colors[y] for y in up[x]])),
+                              tuple(sorted([colors[y] for y in down[x]]))), len(table))
+            for x, c in enumerate(colors)
+        ]
+        if Counter(new[:size]) != Counter(new[size:]):
             return None
-        if len(set(new_src)) == len(set(src)):
-            return new_src, new_tgt
-        src, tgt = new_src, new_tgt
+        if len(table) == count:
+            return new
+        colors, count = new, len(table)
 
 
-def _initial_colors(interval: BruhatInterval) -> Optional[tuple[list[int], list[int]]]:
-    """The stable root refinement of the source and dual-target colors, or
-    None when their multisets part on the way."""
-    top = interval.top_rank
-    intern = _interner()
-    src = [
-        intern((interval.rank[x], len(interval.up[x]), len(interval.down[x])))
-        for x in range(interval.size)
-    ]
-    tgt = [
-        intern((top - interval.rank[x], len(interval.down[x]), len(interval.up[x])))
-        for x in range(interval.size)
-    ]
-    if Counter(src) != Counter(tgt):
-        return None
-    return _refine_to_stable(interval, src, tgt)
+def _initial_colors(interval: BruhatInterval) -> Optional[list[int]]:
+    """(rank, up-degree, down-degree) colors of the union, a dual vertex taking
+    its rank in the dual and its degrees swapped; None when the two halves'
+    multisets differ, which needs no union graph and no refinement."""
+    size = interval.size
+    ups = [len(ys) for ys in interval.up]
+    downs = [len(ys) for ys in interval.down]
+    ranks = interval.rank + [interval.top_rank - r for r in interval.rank]
+    table: dict[tuple, int] = {}
+    colors = [table.setdefault(key, len(table)) for key in zip(ranks, ups + downs, downs + ups)]
+    return colors if Counter(colors[:size]) == Counter(colors[size:]) else None
 
 
 def _search_antiautomorphism(
-    interval: BruhatInterval, colors: tuple[list[int], list[int]]
+    interval: BruhatInterval, graph: _Graph, colors: Optional[list[int]]
 ) -> Optional[list[int]]:
-    """Backtracking individualization-refinement from the stable root
-    ``colors``; returns ids mapping x to its image under some
-    order-reversing bijection, or None."""
+    """Backtracking individualization-refinement from stable ``colors`` of
+    the union; returns ids mapping x to its image under some order-reversing
+    bijection, or None (at once when ``colors`` is None)."""
+    if colors is None:
+        return None
     size = interval.size
-
-    def extract(src: list[int], tgt: list[int]) -> Optional[list[int]]:
-        by_color: dict[int, list[int]] = {}
-        for x in range(size):
-            by_color.setdefault(src[x], []).append(x)
-        cells = sorted(by_color.values(), key=len)
-        if all(len(cell) == 1 for cell in cells):
-            tgt_of = {}
-            for y in range(size):
-                tgt_of.setdefault(tgt[y], []).append(y)
-            mapping = [-1] * size
-            for cell in cells:
-                x = cell[0]
-                ys = tgt_of.get(src[x], [])
-                if len(ys) != 1:
-                    return None
-                mapping[x] = ys[0]
-            return mapping if _reverses_covers(interval, mapping) else None
-        # individualize the most constrained vertex
-        cell = next(c for c in cells if len(c) > 1)
-        x = cell[0]
-        fresh = size + max(max(src), max(tgt)) + 1
-        targets = [y for y in range(size) if tgt[y] == src[x]]
-        for y in targets:
-            s2 = list(src)
-            t2 = list(tgt)
-            s2[x] = fresh
-            t2[y] = fresh
-            stab = _refine_to_stable(interval, s2, t2)
-            if stab is None:
-                continue
-            hit = extract(*stab)
+    cells: dict[int, list[int]] = {}
+    for x in range(size):
+        cells.setdefault(colors[x], []).append(x)
+    if len(cells) == size:
+        # the halves share one multiset, so the dual half is discrete too
+        dual_of = {colors[size + y]: y for y in range(size)}
+        mapping = [dual_of[colors[x]] for x in range(size)]
+        return mapping if _reverses_covers(interval, mapping) else None
+    # individualize the first vertex of the smallest nontrivial cell
+    x = min((cell for cell in cells.values() if len(cell) > 1), key=len)[0]
+    fresh = max(colors) + 1
+    for y in range(size):
+        if colors[size + y] == colors[x]:
+            trial = list(colors)
+            trial[x] = trial[size + y] = fresh
+            hit = _search_antiautomorphism(interval, graph, _refine_to_stable(graph, trial))
             if hit is not None:
                 return hit
-        return None
-
-    return extract(*colors)
+    return None
 
 
-def _refinement_summary(colors: Optional[tuple[list[int], list[int]]]) -> str:
+def _refinement_summary(colors: Optional[list[int]]) -> str:
     """Why the search refuted: the shape of the stable root refinement, or the
     root color multisets parting."""
     if colors is None:
         return "degree/rank color multisets of the interval and its dual differ"
-    cells = Counter(Counter(colors[0]).values())
+    cells = Counter(Counter(colors[: len(colors) // 2]).values())
     shape = ", ".join(f"{count} cells of size {size}" for size, count in sorted(cells.items()))
     return f"stable refinement reached ({shape}) but every pairing fails cover reversal"
 

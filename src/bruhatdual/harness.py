@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -243,6 +244,32 @@ def _run_chunks(worker, chunk_args: list, jobs: int) -> list[dict]:
     return [worker(a) for a in chunk_args]
 
 
+def _sweep(theorem: str, ns: range, worker, mode, jobs: int) -> VerificationReport:
+    """Run ``worker`` on the chunks (n, first value, mode) of each S_n with n
+    in ``ns`` and merge their counts in chunk order, tallies in the key
+    order of the chunks' tally dicts."""
+    start = time.perf_counter()
+    violations: list[dict] = []
+    tallies: dict[str, dict[str, int]] = {}
+    checked = 0
+    for n in ns:
+        results = _run_chunks(worker, [(n, first, mode) for first in range(1, n + 1)], jobs)
+        tally: Counter[str] = Counter()
+        for res in results:
+            checked += res["checked"]
+            violations.extend(res["violations"])
+            tally.update(res["tally"])  # keeps zero counts, in the chunks' key order
+        tallies[str(n)] = dict(tally)
+    return VerificationReport(
+        theorem=theorem,
+        n_range=list(ns),
+        checked=checked,
+        violations=violations,
+        wall_time=time.perf_counter() - start,
+        tallies=tallies,
+    )
+
+
 def verify_main(
     n_max: int, sd4_mode: str = "full", jobs: int = 1, force_full: bool = False
 ) -> VerificationReport:
@@ -253,28 +280,7 @@ def verify_main(
         raise ValueError("n_max must be between 1 and 8")
     if sd4_mode not in ("full", "constructive-only"):
         raise ValueError(f"unknown sd4 mode {sd4_mode!r}")
-    start = time.perf_counter()
-    violations: list[dict] = []
-    tallies: dict[str, dict[str, int]] = {}
-    checked = 0
-    for n in range(1, n_max + 1):
-        chunk_args = [(n, first, sd4_mode) for first in range(1, n + 1)]
-        results = _run_chunks(_main_chunk, chunk_args, jobs)
-        tally = {"smooth": 0, "polished": 0, "self_dual": 0}
-        for res in results:
-            checked += res["checked"]
-            violations.extend(res["violations"])
-            for k in tally:
-                tally[k] += res["tally"][k]
-        tallies[str(n)] = tally
-    return VerificationReport(
-        theorem="thm-main",
-        n_range=list(range(1, n_max + 1)),
-        checked=checked,
-        violations=violations,
-        wall_time=time.perf_counter() - start,
-        tallies=tallies,
-    )
+    return _sweep("thm-main", range(1, n_max + 1), _main_chunk, sd4_mode, jobs)
 
 
 def _topheavy_checks(
@@ -326,14 +332,14 @@ def _topheavy_checks(
     return True, "degree_equal" if atom_up == coatom_down else "degree_strict", violations
 
 
-def _topheavy_chunk(args: tuple[int, int, bool]) -> dict:
-    n, first, do_ranks = args
+def _topheavy_chunk(args: tuple[int, int, int]) -> dict:
+    n, first, rank_n_max = args
     violations = []
     checked = 0
     tally = {"smooth": 0, "degree_equal": 0, "degree_strict": 0}
     for w in _perms_first_value(n, first):
         try:
-            counted, degree, found = _topheavy_checks(n, w, do_ranks)
+            counted, degree, found = _topheavy_checks(n, w, n <= rank_n_max)
         except _ElementFailure as fail:
             # a failed element counts as checked: it was attempted and reported
             checked += 1
@@ -354,29 +360,7 @@ def verify_topheavy(n_max: int, jobs: int = 1) -> VerificationReport:
     min(n_max, 6)."""
     if not 2 <= n_max <= 7:
         raise ValueError("n_max must be between 2 and 7")
-    start = time.perf_counter()
-    violations: list[dict] = []
-    tallies: dict[str, dict[str, int]] = {}
-    checked = 0
-    for n in range(2, n_max + 1):
-        do_ranks = n <= 6
-        chunk_args = [(n, first, do_ranks) for first in range(1, n + 1)]
-        results = _run_chunks(_topheavy_chunk, chunk_args, jobs)
-        tally = {"smooth": 0, "degree_equal": 0, "degree_strict": 0}
-        for res in results:
-            checked += res["checked"]
-            violations.extend(res["violations"])
-            for k in tally:
-                tally[k] += res["tally"][k]
-        tallies[str(n)] = tally
-    return VerificationReport(
-        theorem="thm-topheavy",
-        n_range=list(range(2, n_max + 1)),
-        checked=checked,
-        violations=violations,
-        wall_time=time.perf_counter() - start,
-        tallies=tallies,
-    )
+    return _sweep("thm-topheavy", range(2, n_max + 1), _topheavy_chunk, 6, jobs)  # ranks to S_6
 
 
 def verify_counterexamples() -> VerificationReport:

@@ -21,7 +21,7 @@ import bisect
 import operator
 import threading
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .permutations import Permutation
@@ -112,15 +112,25 @@ class BruhatInterval:
     BFS from the top of a graded poset meets the ranks in turn, so rank is
     non-increasing along ids and each rank is one contiguous id range.
 
+    The constructor sorts each down list and derives ``up`` and ``index``.
     Immutable after construction; safe to share between threads.
     """
 
     top: Element
     elements: list[Element]
-    index: dict[Element, int]
+    index: dict[Element, int] = field(init=False)
     rank: list[int]
     down: list[list[int]]  # ids covered by each id
-    up: list[list[int]]  # ids covering each id
+    up: list[list[int]] = field(init=False)  # ids covering each id
+
+    def __post_init__(self) -> None:
+        up: list[list[int]] = [[] for _ in self.elements]
+        for x, ys in enumerate(self.down):  # x ascends, so each up list comes out sorted
+            ys.sort()
+            for y in ys:
+                up[y].append(x)
+        self.up = up
+        self.index = {x: i for i, x in enumerate(self.elements)}
 
     @property
     def size(self) -> int:
@@ -233,16 +243,10 @@ def build_interval(w: Element) -> BruhatInterval:
     del local
     nodes = graph.elements
     elements = [nodes[g] for g in gids]
-    up: list[list[int]] = [[] for _ in elements]
-    for xid, ys in enumerate(down):  # xid ascends, so each up list comes out sorted
-        ys.sort()
-        for yid in ys:
-            up[yid].append(xid)
     bottoms = [i for i, r in enumerate(rank) if r == 0]
     if len(bottoms) != 1 or not elements[bottoms[0]].is_identity():
         raise AssertionError("interval lacks a unique identity minimum")
-    index = {x: i for i, x in enumerate(elements)}
-    return BruhatInterval(w, elements, index, rank, down, up)
+    return BruhatInterval(w, elements, rank, down)
 
 
 def rank_profile(interval: BruhatInterval) -> tuple[int, ...]:

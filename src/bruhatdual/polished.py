@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .diagrams import DynkinDiagram, type_a_diagram, type_b_diagram
-from .intervals import bruhat_leq, longest_parabolic
+from .intervals import build_interval, longest_parabolic
 from .permutations import (
     Permutation,
     PatternOccurrence,
@@ -404,7 +404,7 @@ def is_polished_bruteforce(w: Element, diagram: DynkinDiagram) -> bool:
     if w.is_identity():
         return True
     candidates = _candidate_blocks(diagram)
-    target_len = w.length()
+    below = build_interval(w)
 
     def interacts(S1: frozenset[int], S2: frozenset[int]) -> bool:
         return any(diagram.adjacent(s, t) for s in S1 for t in S2)
@@ -416,12 +416,9 @@ def is_polished_bruteforce(w: Element, diagram: DynkinDiagram) -> bool:
             if last is not None and not interacts(last, S) and min(S) < min(last):
                 continue  # commuting neighbors: canonical order only
             nxt = acc * prod
-            nl = nxt.length()
-            if nl > target_len or not bruhat_leq(nxt, w):
+            if not below.contains(nxt):
                 continue
-            if nxt == w:
-                return True
-            if nl < target_len and search(nxt, used | S, S):
+            if nxt == w or search(nxt, used | S, S):
                 return True
         return False
 

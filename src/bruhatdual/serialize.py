@@ -85,19 +85,13 @@ def interval_from_dict(d: dict) -> BruhatInterval:
         raise ValueError("not an interval document")
     kind = d["element_kind"]
     elements = [parse_element(t, kind) for t in d["vertices"]]
-    index = {x: i for i, x in enumerate(elements)}
     rank = list(d["ranks"])
     if any(a < b for a, b in zip(rank, rank[1:])):
         raise ValueError("interval vertices must come in non-increasing rank order")
     down: list[list[int]] = [[] for _ in elements]
     for x, y in d["edges"]:
         down[x].append(y)
-    up: list[list[int]] = [[] for _ in elements]
-    for x, ys in enumerate(down):  # x ascends, so each up list comes out sorted
-        ys.sort()
-        for y in ys:
-            up[y].append(x)
-    return BruhatInterval(elements[0], elements, index, rank, down, up)
+    return BruhatInterval(elements[0], elements, rank, down)
 
 
 def interval_to_dot(interval: BruhatInterval) -> str:

@@ -86,8 +86,10 @@ class TestVerifyCommands:
         assert report["theorem"] == "counterexamples-B"
 
     def test_bad_n_max(self, runner):
-        assert runner.invoke(main, ["verify-main", "--n-max", "9"]).exit_code != 0
-        assert runner.invoke(main, ["verify-topheavy", "--n-max", "8"]).exit_code != 0
+        for command, n_max in [("verify-main", 0), ("verify-main", 9),
+                               ("verify-topheavy", 1), ("verify-topheavy", 8)]:
+            result = runner.invoke(main, [command, "--n-max", str(n_max)])
+            assert result.exit_code == 2 and "--n-max" in result.output, (command, n_max)
 
     def test_determinism(self, runner):
         a = runner.invoke(main, ["verify-main", "--n-max", "4"])

@@ -216,6 +216,17 @@ class TestCertify:
         assert cert.kind == "refuted" and not cert.is_self_dual
         assert cert.refinement_trace
 
+    @pytest.mark.parametrize(
+        "text,trace",
+        [
+            ("34521", "degree/rank color multisets of the interval and its dual differ"),
+            ("3412", "rank profile (1, 3, 5, 4, 1) is asymmetric"),
+        ],
+    )
+    def test_refinement_trace(self, text, trace):
+        cert = certify_self_dual(build_interval(parse_permutation(text)))
+        assert cert.refinement_trace == trace
+
     def test_w0_constructive(self):
         w0 = longest_permutation(4)
         cert = certify_self_dual(build_interval(w0), polished_decompose(w0))
@@ -233,6 +244,12 @@ class TestCertify:
         w = parse_permutation("4321")
         with pytest.raises(ValueError):
             certify_self_dual(build_interval(w), polished_decompose(parse_permutation("2134")))
+
+    def test_escaping_hint_is_value_error(self):
+        # the map of 3214's decomposition sends e to 3214, outside [e, 2134]
+        w = parse_permutation("2134")
+        with pytest.raises(ValueError, match="does not induce"):
+            certify_self_dual(build_interval(w), polished_decompose(parse_permutation("3214")))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_hint_and_search_agree(self, n):
