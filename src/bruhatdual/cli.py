@@ -102,7 +102,7 @@ def cmd_verify_main(n_max: int, sd4_mode: str, jobs: int, force_full: bool, outp
 @click.option("--output", default=None)
 def cmd_verify_topheavy(n_max: int, jobs: int, output: str | None):
     """Check cover-degree top-heaviness (equality iff six-avoiding) on smooth
-    elements, and rank top-heaviness on everything up to min(n_max, 6)."""
+    elements, and rank top-heaviness on every interval."""
     report = verify_topheavy(n_max, jobs=jobs)
     _finish_report(report, output)
 

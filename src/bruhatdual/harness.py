@@ -2,18 +2,21 @@
 cover-degree top-heaviness, rank top-heaviness, and the type-B
 counterexamples, with per-degree tallies and violation records.
 
-Sweeps over S_n partition the group by the first image value, so chunks can
-run in parallel and still merge deterministically.
+A sweep runs one per-element check over S_n for every n in its range.  Each
+S_n is split by first image value into (n, first value) chunks, and the
+chunks of every n go to one worker pool per sweep; results merge in chunk
+order, so reports do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from .duality import (
     LevelGraph,
@@ -23,7 +26,6 @@ from .duality import (
     gamma_upper,
 )
 from .intervals import (
-    BruhatInterval,
     bruhat_leq,
     build_interval,
     degree_extremes,
@@ -75,26 +77,23 @@ def gamma_graphs_direct(w: Permutation) -> tuple[LevelGraph, LevelGraph]:
     the bottom pair from the simple transpositions in supp(w) and their
     pairwise products filtered by Bruhat comparison (every element of
     length 2 is some s_i s_j with i != j, and lies below w only if its
-    support does), the top pair from iterated cover moves below w.
+    support does; the atom s_i lies below it exactly when i is in that
+    support), the top pair from iterated cover moves below w.
 
     Agrees with the interval route as labeled graphs (property-tested).
     """
     if w.length() < 2:
         raise ValueError("level graphs need length >= 2")
     n = w.n
-    atoms = sorted(
-        (simple_transposition(n, i) for i in sorted(w.support())), key=lambda x: x.images
-    )
+    support = sorted(w.support(), key=lambda i: simple_transposition(n, i).images)
+    atoms = [simple_transposition(n, i) for i in support]
     rank2 = sorted(
         (x for x in {a * b for a in atoms for b in atoms if a != b} if bruhat_leq(x, w)),
         key=lambda x: x.images,
     )
-    lower_edges = []
-    for si, a in enumerate(atoms):
-        for bi, v in enumerate(rank2):
-            if bruhat_leq(a, v):
-                lower_edges.append((si, bi))
-    lower = LevelGraph("lower", tuple(atoms), tuple(rank2), tuple(sorted(lower_edges)))
+    atom_id = {i: si for si, i in enumerate(support)}
+    lower_edges = sorted((atom_id[i], bi) for bi, v in enumerate(rank2) for i in v.support())
+    lower = LevelGraph("lower", tuple(atoms), tuple(rank2), tuple(lower_edges))
 
     coatoms = sorted(w.down_covers(), key=lambda x: x.images)
     upper_edges = []
@@ -196,123 +195,43 @@ def _sd_predicates(w: Permutation, sd4_mode: str) -> dict:
     }
 
 
-def _perms_first_value(n: int, first: int) -> Iterator[Permutation]:
-    rest = [v for v in range(1, n + 1) if v != first]
-    for tail in itertools.permutations(rest):
-        yield Permutation((first,) + tail)
+# (tally key, predicate counted under it) for the self-duality sweep
+_MAIN_TALLY = (("smooth", "smooth"), ("polished", "sd3_polished"), ("self_dual", "sd4_self_dual"))
 
 
-def _main_chunk(args: tuple[int, int, str]) -> dict:
-    n, first, sd4_mode = args
-    violations = []
-    checked = 0
-    tally = {"smooth": 0, "polished": 0, "self_dual": 0}
-    for w in _perms_first_value(n, first):
-        checked += 1
-        try:
-            row = _sd_predicates(w, sd4_mode)
-        except _ElementFailure as fail:
-            violations.append(fail.record(n, w))
-            continue
-        if row["smooth"]:
-            tally["smooth"] += 1
-        if row["sd3_polished"]:
-            tally["polished"] += 1
-        if row["sd4_self_dual"]:
-            tally["self_dual"] += 1
-        verdicts = {row["sd1_gamma_iso"], row["sd2_patterns"], row["sd3_polished"]}
-        if row["sd4_self_dual"] is not None:
-            verdicts.add(row["sd4_self_dual"])
-        if len(verdicts) != 1:
-            violations.append({"n": n, "w": w.one_line(), "predicates": dict(row)})
-    return {"n": n, "first": first, "checked": checked, "tally": tally, "violations": violations}
+def _main_checks(n: int, w: Permutation, sd4_mode: str) -> tuple[list[str], list[dict]]:
+    """One element's self-duality tally keys, and a violation when its
+    predicates disagree."""
+    row = _sd_predicates(w, sd4_mode)
+    keys = [key for key, pred in _MAIN_TALLY if row[pred]]
+    verdicts = {row["sd1_gamma_iso"], row["sd2_patterns"], row["sd3_polished"]}
+    if row["sd4_self_dual"] is not None:
+        verdicts.add(row["sd4_self_dual"])
+    violations = [] if len(verdicts) == 1 else [{"n": n, "w": w.one_line(), "predicates": row}]
+    return keys, violations
 
 
-def _worker_count(jobs: int, n_chunks: int) -> int:
-    """Worker processes for one sweep step: ``jobs``, but never more than
-    there are chunks to hand out."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return min(jobs, n_chunks)
-
-
-def _run_chunks(worker, chunk_args: list, jobs: int) -> list[dict]:
-    workers = _worker_count(jobs, len(chunk_args))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, chunk_args))
-    return [worker(a) for a in chunk_args]
-
-
-def _sweep(theorem: str, ns: range, worker, mode, jobs: int) -> VerificationReport:
-    """Run ``worker`` on the chunks (n, first value, mode) of each S_n with n
-    in ``ns`` and merge their counts in chunk order, tallies in the key
-    order of the chunks' tally dicts."""
-    start = time.perf_counter()
-    violations: list[dict] = []
-    tallies: dict[str, dict[str, int]] = {}
-    checked = 0
-    for n in ns:
-        results = _run_chunks(worker, [(n, first, mode) for first in range(1, n + 1)], jobs)
-        tally: Counter[str] = Counter()
-        for res in results:
-            checked += res["checked"]
-            violations.extend(res["violations"])
-            tally.update(res["tally"])  # keeps zero counts, in the chunks' key order
-        tallies[str(n)] = dict(tally)
-    return VerificationReport(
-        theorem=theorem,
-        n_range=list(ns),
-        checked=checked,
-        violations=violations,
-        wall_time=time.perf_counter() - start,
-        tallies=tallies,
-    )
-
-
-def verify_main(
-    n_max: int, sd4_mode: str = "full", jobs: int = 1, force_full: bool = False
-) -> VerificationReport:
-    """Sweep every w in S_1..S_{n_max} and assert the four self-duality
-    predicates agree.  ``sd4_mode`` applies at every n.  ``force_full`` is
-    accepted and ignored: full mode always runs the refutation search."""
-    if not 1 <= n_max <= 8:
-        raise ValueError("n_max must be between 1 and 8")
-    if sd4_mode not in ("full", "constructive-only"):
-        raise ValueError(f"unknown sd4 mode {sd4_mode!r}")
-    return _sweep("thm-main", range(1, n_max + 1), _main_chunk, sd4_mode, jobs)
-
-
-def _topheavy_checks(
-    n: int, w: Permutation, do_ranks: bool
-) -> tuple[bool, Optional[str], list[dict]]:
-    """One element's top-heaviness checks: whether it counts as checked, its
-    degree tally ("degree_equal" / "degree_strict", or None when it is not
-    smooth of length >= 2), and its violations.
+def _topheavy_checks(n: int, w: Permutation) -> tuple[tuple[str, ...], list[dict]]:
+    """One element's top-heaviness checks: the rank inequality on every w,
+    then, when w is smooth of length >= 2, the degree inequality and its
+    equality case.  Returns the tally keys ("smooth" with "degree_equal" or
+    "degree_strict", or none) and the violations.
 
     Raises _ElementFailure, naming the stage, on any exception."""
     violations = []
-    stage = "avoids_smooth_patterns"
+    stage = "build_interval"
     try:
         lw = w.length()
-        smooth = avoids_smooth_patterns(w)
-        interval: Optional[BruhatInterval] = None
-        if do_ranks:
-            stage = "build_interval"
-            interval = build_interval(w)
-            stage = "rank_profile"
-            profile = rank_profile(interval)
-            for k in range(lw // 2 + 1):
-                if profile[k] > profile[lw - k]:
-                    violations.append(
-                        {"n": n, "w": w.one_line(), "check": "rank-top-heavy", "profile": profile}
-                    )
-                    break
-        if not (smooth and lw >= 2):
-            return do_ranks, None, violations
-        if interval is None:
-            stage = "build_interval"
-            interval = build_interval(w)
+        interval = build_interval(w)
+        stage = "rank_profile"
+        profile = rank_profile(interval)
+        if any(profile[k] > profile[lw - k] for k in range(lw // 2 + 1)):
+            violations.append(
+                {"n": n, "w": w.one_line(), "check": "rank-top-heavy", "profile": profile}
+            )
+        stage = "avoids_smooth_patterns"
+        if lw < 2 or not avoids_smooth_patterns(w):
+            return (), violations
         stage = "degree_extremes"
         atom_up, coatom_down = degree_extremes(interval)
         stage = "avoids_selfdual_patterns"
@@ -329,38 +248,98 @@ def _topheavy_checks(
             {"n": n, "w": w.one_line(), "check": "degree-equality-vs-patterns",
              "extremes": [atom_up, coatom_down], "six_avoiding": six}
         )
-    return True, "degree_equal" if atom_up == coatom_down else "degree_strict", violations
+    return ("smooth", "degree_equal" if atom_up == coatom_down else "degree_strict"), violations
 
 
-def _topheavy_chunk(args: tuple[int, int, int]) -> dict:
-    n, first, rank_n_max = args
-    violations = []
+def _chunk(check, args: tuple) -> tuple[int, Counter, list[dict]]:
+    """Run ``check(n, w, *rest)`` on every w in S_n with w(1) = first, for
+    ``args = (n, first, *rest)``.  Returns the elements checked (a failed
+    element counts: it was attempted and reported), the tally keys counted
+    and the violations, failures recorded in element order."""
+    n, first, *rest = args
     checked = 0
-    tally = {"smooth": 0, "degree_equal": 0, "degree_strict": 0}
-    for w in _perms_first_value(n, first):
+    tally: Counter[str] = Counter()
+    violations: list[dict] = []
+    others = [v for v in range(1, n + 1) if v != first]
+    for tail in itertools.permutations(others):
+        w = Permutation((first,) + tail)
+        checked += 1
         try:
-            counted, degree, found = _topheavy_checks(n, w, n <= rank_n_max)
+            keys, found = check(n, w, *rest)
         except _ElementFailure as fail:
-            # a failed element counts as checked: it was attempted and reported
-            checked += 1
             violations.append(fail.record(n, w))
             continue
-        checked += counted
-        if degree is not None:
-            tally["smooth"] += 1
-            tally[degree] += 1
+        tally.update(keys)
         violations.extend(found)
-    return {"n": n, "first": first, "checked": checked, "tally": tally, "violations": violations}
+    return checked, tally, violations
+
+
+def _worker_count(jobs: int, n_chunks: int) -> int:
+    """Worker processes for one sweep: ``jobs``, but never more than there
+    are chunks to hand out."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, n_chunks)
+
+
+def _run_chunks(worker, chunk_args: list, jobs: int) -> list:
+    workers = _worker_count(jobs, len(chunk_args))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(worker, chunk_args))
+    return [worker(a) for a in chunk_args]
+
+
+def _sweep(
+    theorem: str, ns: range, check, keys: tuple[str, ...], rest: tuple, jobs: int
+) -> VerificationReport:
+    """Run ``check`` on every element of S_n for n in ``ns``: one
+    (n, first value, *rest) chunk per first value of every n, all handed to
+    one pool, merged in chunk order.  Each n's tallies list ``keys`` in
+    order, zeros included, so the report does not depend on ``jobs``."""
+    start = time.perf_counter()
+    chunks = [(n, first, *rest) for n in ns for first in range(1, n + 1)]
+    results = _run_chunks(functools.partial(_chunk, check), chunks, jobs)
+    checked = 0
+    violations: list[dict] = []
+    totals: dict[int, Counter[str]] = {n: Counter() for n in ns}
+    for (n, *_), (count, tally, found) in zip(chunks, results):
+        checked += count
+        totals[n].update(tally)
+        violations.extend(found)
+    return VerificationReport(
+        theorem=theorem,
+        n_range=list(ns),
+        checked=checked,
+        violations=violations,
+        wall_time=time.perf_counter() - start,
+        tallies={str(n): {key: totals[n][key] for key in keys} for n in ns},
+    )
+
+
+def verify_main(
+    n_max: int, sd4_mode: str = "full", jobs: int = 1, force_full: bool = False
+) -> VerificationReport:
+    """Sweep every w in S_1..S_{n_max} and assert the four self-duality
+    predicates agree.  ``sd4_mode`` applies at every n.  ``force_full`` is
+    accepted and ignored: full mode always runs the refutation search."""
+    if not 1 <= n_max <= 8:
+        raise ValueError("n_max must be between 1 and 8")
+    if sd4_mode not in ("full", "constructive-only"):
+        raise ValueError(f"unknown sd4 mode {sd4_mode!r}")
+    keys = tuple(key for key, _ in _MAIN_TALLY)
+    return _sweep("thm-main", range(1, n_max + 1), _main_checks, keys, (sd4_mode,), jobs)
 
 
 def verify_topheavy(n_max: int, jobs: int = 1) -> VerificationReport:
-    """For smooth w of length >= 2: max atom up-degree <= max coatom
-    down-degree, with equality exactly on the six-pattern avoiders.  Also
-    sweeps the rank inequality |P_k| <= |P_{l-k}| for every w up to
-    min(n_max, 6)."""
+    """Sweep every w in S_2..S_{n_max}: the rank inequality
+    |P_k| <= |P_{l-k}| on every interval [e, w], at every n; and for smooth
+    w of length >= 2, max atom up-degree <= max coatom down-degree, with
+    equality exactly on the six-pattern avoiders."""
     if not 2 <= n_max <= 7:
         raise ValueError("n_max must be between 2 and 7")
-    return _sweep("thm-topheavy", range(2, n_max + 1), _topheavy_chunk, 6, jobs)  # ranks to S_6
+    keys = ("smooth", "degree_equal", "degree_strict")
+    return _sweep("thm-topheavy", range(2, n_max + 1), _topheavy_checks, keys, (), jobs)
 
 
 def verify_counterexamples() -> VerificationReport:

@@ -198,10 +198,6 @@ def simple_transposition(n: int, i: int) -> Permutation:
     return identity(n).times_simple_right(i)
 
 
-def transposition(n: int, i: int, j: int) -> Permutation:
-    return identity(n).times_transposition_right(i, j)
-
-
 def longest_permutation(n: int) -> Permutation:
     return Permutation(tuple(range(n, 0, -1)))
 

@@ -11,7 +11,6 @@ multiplication on values, and (u * v)(i) = u(v(i)) with u(-x) = -u(x).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence, Union
 
@@ -216,12 +215,6 @@ class CoxeterPresentation:
         if self.kind == "A":
             return perm_identity(self.rank + 1)
         return signed_identity(self.rank)
-
-    def order(self) -> int:
-        n = self.rank
-        if self.kind == "A":
-            return math.factorial(n + 1)
-        return (2**n) * math.factorial(n)
 
 
 class WordResult(NamedTuple):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -72,18 +73,30 @@ class TestJobs:
 class TestSd4Mode:
     @pytest.mark.parametrize("force_full", [False, True])
     def test_full_mode_stays_full_at_seven(self, monkeypatch, force_full):
-        seen = []
+        calls = []
 
         def record(worker, chunk_args, jobs):
-            seen.extend(chunk_args)
-            return [{"checked": 0, "tally": {"smooth": 0, "polished": 0, "self_dual": 0},
-                     "violations": []} for _ in chunk_args]
+            calls.append(chunk_args)
+            return [(0, Counter(), []) for _ in chunk_args]
 
         monkeypatch.setattr(harness, "_run_chunks", record)
         harness.verify_main(7, "full", jobs=2, force_full=force_full)
+        assert len(calls) == 1  # one pool for the whole sweep
+        seen = calls[0]
         at_seven = [args for args in seen if args[0] == 7]
         assert [first for _, first, _ in at_seven] == list(range(1, 8))
         assert {mode for *_, mode in seen} == {"full"}
+
+
+class TestTopheavy:
+    def test_ranks_checked_at_seven(self):
+        # w(1) = 1 gives [e, w] = [e, v] for the v in S_6 that w shifts, so the
+        # tallies are S_6's census counts (366 smooth, 322 six-avoiding) less
+        # the six elements of length < 2.
+        checked, tally, violations = harness._chunk(harness._topheavy_checks, (7, 1))
+        assert checked == 720
+        assert violations == []
+        assert tally == {"smooth": 360, "degree_equal": 316, "degree_strict": 44}
 
 
 class TestGammaGraphsDirect:
