@@ -22,10 +22,18 @@ import sys
 from bruhatdual.harness import verify_counterexamples, verify_main, verify_topheavy
 
 
+def job_count(text: str) -> int:
+    """argparse type for --jobs: an integer of at least 1."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("outdir", nargs="?", default="reports")
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument("--jobs", type=job_count, default=1)
     args = ap.parse_args()
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

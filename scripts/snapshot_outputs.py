@@ -8,7 +8,7 @@ file each, so two checkouts can be compared with `diff -r`.
   permutations, so those come from the serializers it uses);
 - reports/: verify_main(6) in full and constructive-only mode,
   verify_topheavy(6) and verify_counterexamples(), without `wall_time`;
-- certify/: one file per group, S_1..S_5 and B_3, with the search
+- certify/: one file per group, S_1..S_6 and B_3, with the search
   certificate of every element (kind, refinement trace, pairing as sorted
   one-line pairs) and, for the six-pattern avoiders of S_n, the hinted one.
 
@@ -103,7 +103,7 @@ def main() -> int:
 
     groups = {
         f"S{n}": [Permutation(im) for im in itertools.permutations(range(1, n + 1))]
-        for n in range(1, 6)
+        for n in range(1, 7)
     }
     groups["B3"] = sorted(group_elements(CoxeterPresentation("B", 3)), key=lambda x: x.images)
     for name, elements in groups.items():

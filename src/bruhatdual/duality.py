@@ -2,7 +2,8 @@
 isomorphism, the explicit duality map coming from a polished decomposition,
 and poset self-duality certification.  The hinted path checks the map's
 images by id.  The search looks for an isomorphism from [e, w] to its dual
-by refining one color array over their disjoint union (McKay-Piperno 2014).
+by refining one color array over both, which share one undirected Hasse
+diagram (McKay-Piperno 2014).
 """
 
 from __future__ import annotations
@@ -302,8 +303,9 @@ def certify_self_dual(
     verify by id that the images lie in [e, w], form a bijection and reverse
     the covers; a hint failing any of these raises ValueError.  Without one,
     search for an order-reversing bijection of the Hasse diagram by iterated
-    color refinement of [e, w] and its dual with individualization;
-    refutation means the search space is exhausted.
+    color refinement of [e, w] and its dual over their shared undirected
+    Hasse diagram, with individualization; refutation means the search
+    space is exhausted.
     """
     if decomp_hint is not None:
         dual = DualityMap(interval.top, decomp_hint)
@@ -320,41 +322,30 @@ def certify_self_dual(
 
     colors = _initial_colors(interval)
     if colors is not None:
-        graph = _dual_union(interval)
-        colors = _refine_to_stable(graph, colors)
-        mapping = _search_antiautomorphism(interval, graph, colors)
+        hasse = [up + down for up, down in zip(interval.up, interval.down)]
+        colors = _refine_to_stable(hasse, colors)
+        mapping = _search_antiautomorphism(interval, hasse, colors)
         if mapping is not None:
             pairing = {interval.elements[x]: interval.elements[y] for x, y in enumerate(mapping)}
             return DualityCertificate("explicit-bijection", pairing, None)
     return DualityCertificate("refuted", None, _refinement_summary(colors))
 
 
-_Graph = tuple[list[list[int]], list[list[int]]]
-
-
-def _dual_union(interval: BruhatInterval) -> _Graph:
-    """Up and down covers of [e, w] disjoint-union its dual on ids 0 .. 2*size - 1:
-    the dual vertex size + x is x with up and down swapped."""
-    size = interval.size
-    up = interval.up + [[size + y for y in ys] for ys in interval.down]
-    down = interval.down + [[size + y for y in ys] for ys in interval.up]
-    return up, down
-
-
-def _refine_to_stable(graph: _Graph, colors: list[int]) -> Optional[list[int]]:
-    """Refine the colors of the union, each round joining a vertex's color
-    with the sorted colors of its up and down covers, interned in id order,
-    until the number of colors stops growing.  None as soon as the two
+def _refine_to_stable(hasse: list[list[int]], colors: list[int]) -> Optional[list[int]]:
+    """Refine the colors of [e, w] (ids x) and its dual (ids size + x), each
+    round joining a vertex's color with the sorted colors of its neighbors in
+    the Hasse diagram ``hasse`` both halves share, interned in id order,
+    until the number of colors stops growing.  Each color keeps one rank, so
+    neighbor colors tell covers from covered.  None as soon as the two
     halves' color multisets part: no isomorphism respects them."""
-    up, down = graph
-    size = len(colors) // 2
+    size = len(hasse)
     count = len(set(colors))
     while True:
         table: dict[tuple, int] = {}
         new = [
-            table.setdefault((c, tuple(sorted([colors[y] for y in up[x]])),
-                              tuple(sorted([colors[y] for y in down[x]]))), len(table))
-            for x, c in enumerate(colors)
+            table.setdefault((c, tuple(sorted([half[y] for y in ys]))), len(table))
+            for half in (colors[:size], colors[size:])
+            for c, ys in zip(half, hasse)
         ]
         if Counter(new[:size]) != Counter(new[size:]):
             return None
@@ -364,9 +355,9 @@ def _refine_to_stable(graph: _Graph, colors: list[int]) -> Optional[list[int]]:
 
 
 def _initial_colors(interval: BruhatInterval) -> Optional[list[int]]:
-    """(rank, up-degree, down-degree) colors of the union, a dual vertex taking
-    its rank in the dual and its degrees swapped; None when the two halves'
-    multisets differ, which needs no union graph and no refinement."""
+    """(rank, up-degree, down-degree) colors of [e, w] and its dual, a dual
+    vertex taking its rank in the dual and its degrees swapped; None when the
+    two halves' multisets differ, which needs no refinement."""
     size = interval.size
     ups = [len(ys) for ys in interval.up]
     downs = [len(ys) for ys in interval.down]
@@ -377,11 +368,12 @@ def _initial_colors(interval: BruhatInterval) -> Optional[list[int]]:
 
 
 def _search_antiautomorphism(
-    interval: BruhatInterval, graph: _Graph, colors: Optional[list[int]]
+    interval: BruhatInterval, hasse: list[list[int]], colors: Optional[list[int]]
 ) -> Optional[list[int]]:
     """Backtracking individualization-refinement from stable ``colors`` of
-    the union; returns ids mapping x to its image under some order-reversing
-    bijection, or None (at once when ``colors`` is None)."""
+    [e, w] and its dual over ``hasse``; returns ids mapping x to its image
+    under some order-reversing bijection, or None (at once when ``colors`` is
+    None).  x and each candidate image, of one rank, share a fresh color."""
     if colors is None:
         return None
     size = interval.size
@@ -400,7 +392,7 @@ def _search_antiautomorphism(
         if colors[size + y] == colors[x]:
             trial = list(colors)
             trial[x] = trial[size + y] = fresh
-            hit = _search_antiautomorphism(interval, graph, _refine_to_stable(graph, trial))
+            hit = _search_antiautomorphism(interval, hasse, _refine_to_stable(hasse, trial))
             if hit is not None:
                 return hit
     return None

@@ -22,6 +22,7 @@ import operator
 import threading
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .permutations import Permutation
@@ -112,13 +113,13 @@ class BruhatInterval:
     BFS from the top of a graded poset meets the ranks in turn, so rank is
     non-increasing along ids and each rank is one contiguous id range.
 
-    The constructor sorts each down list and derives ``up`` and ``index``.
-    Immutable after construction; safe to share between threads.
+    The constructor sorts each down list and derives ``up``; ``index`` is
+    built on first read.  Immutable after construction; safe to share
+    between threads.
     """
 
     top: Element
     elements: list[Element]
-    index: dict[Element, int] = field(init=False)
     rank: list[int]
     down: list[list[int]]  # ids covered by each id
     up: list[list[int]] = field(init=False)  # ids covering each id
@@ -130,7 +131,10 @@ class BruhatInterval:
             for y in ys:
                 up[y].append(x)
         self.up = up
-        self.index = {x: i for i, x in enumerate(self.elements)}
+
+    @cached_property
+    def index(self) -> dict[Element, int]:
+        return {x: i for i, x in enumerate(self.elements)}
 
     @property
     def size(self) -> int:

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -116,6 +120,20 @@ class TestVerifyCommands:
         assert result.exit_code == 2 and "--jobs" in result.output
         result = runner.invoke(main, [command, "--n-max", "3"], env={"BRUHAT_JOBS": "-1"})
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+    def test_full_verification_script_rejects_bad_jobs(self, tmp_path, jobs):
+        repo = pathlib.Path(__file__).resolve().parents[1]
+        outdir = tmp_path / "reports"
+        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+        result = subprocess.run(
+            [sys.executable, str(repo / "scripts" / "run_full_verification.py"),
+             str(outdir), "--jobs", jobs],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "usage:" in result.stderr and "--jobs" in result.stderr
+        assert not outdir.exists()
 
     def test_violations_force_nonzero_exit(self, runner):
         # the exit-code contract, exercised with a fabricated failing report

@@ -6,6 +6,8 @@ from oracle_utils import all_one_lines, brute_avoids_all
 
 from bruhatdual.duality import (
     DualityMap,
+    _initial_colors,
+    _refine_to_stable,
     bipartite_isomorphic,
     certify_self_dual,
     duality_map,
@@ -17,7 +19,7 @@ from bruhatdual.harness import gamma_graphs_direct
 from bruhatdual.intervals import build_interval, longest_parabolic, parabolic_decompose
 from bruhatdual.permutations import Permutation, identity, longest_permutation, parse_permutation
 from bruhatdual.polished import polished_decompose
-from bruhatdual.signed import SignedPermutation
+from bruhatdual.signed import CoxeterPresentation, SignedPermutation, group_elements
 
 perms = lambda n: st.permutations(list(range(1, n + 1))).map(tuple).map(Permutation)
 
@@ -293,6 +295,49 @@ class TestCertify:
                 for y in ys
             }
             assert {(pairing[y], pairing[x]) for x, y in edges} == edges
+
+    @pytest.mark.parametrize(
+        "ws",
+        [
+            [Permutation(im) for n in range(1, 6) for im in all_one_lines(n)],
+            list(group_elements(CoxeterPresentation("B", 3))),
+        ],
+        ids=["S1-5", "B3"],
+    )
+    def test_refined_colors_keep_one_rank(self, ws):
+        # the refinement keys a vertex on the sorted colors of all its Hasse
+        # neighbors, which splits covers from covered only if no color spans
+        # two ranks of [e, w] (ids x) and its dual (ids size + x)
+        def assert_one_rank(colors, union_rank):
+            rank_of = {}
+            for c, r in zip(colors, union_rank):
+                assert rank_of.setdefault(c, r) == r
+
+        for w in ws:
+            interval = build_interval(w)
+            size = interval.size
+            union_rank = interval.rank + [interval.top_rank - r for r in interval.rank]
+            hasse = [up + down for up, down in zip(interval.up, interval.down)]
+            colors = _initial_colors(interval)
+            if colors is None:
+                continue
+            colors = _refine_to_stable(hasse, colors)
+            if colors is None:
+                continue
+            assert_one_rank(colors, union_rank)
+            cells = {}
+            for x in range(size):
+                cells.setdefault(colors[x], []).append(x)
+            if len(cells) == size:
+                continue
+            x = min((cell for cell in cells.values() if len(cell) > 1), key=len)[0]
+            for y in range(size):
+                if colors[size + y] == colors[x]:
+                    trial = list(colors)
+                    trial[x] = trial[size + y] = max(colors) + 1
+                    refined = _refine_to_stable(hasse, trial)
+                    if refined is not None:
+                        assert_one_rank(refined, union_rank)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_self_dual_implies_gamma_iso(self, n):

@@ -90,13 +90,13 @@ class TestSd4Mode:
 
 class TestTopheavy:
     def test_ranks_checked_at_seven(self):
-        # w(1) = 1 gives [e, w] = [e, v] for the v in S_6 that w shifts, so the
-        # tallies are S_6's census counts (366 smooth, 322 six-avoiding) less
-        # the six elements of length < 2.
+        # w(1) = 1 gives [e, w] = [e, v] for the v in S_6 that w shifts, so
+        # smooth is S_6's census count 366; the degree tallies split S_6's
+        # 366 smooth and 322 six-avoiding elements less the six of length < 2.
         checked, tally, violations = harness._chunk(harness._topheavy_checks, (7, 1))
         assert checked == 720
         assert violations == []
-        assert tally == {"smooth": 360, "degree_equal": 316, "degree_strict": 44}
+        assert tally == {"smooth": 366, "degree_equal": 316, "degree_strict": 44}
 
 
 class TestGammaGraphsDirect:
