@@ -15,7 +15,7 @@ import click
 from .duality import gamma_lower, gamma_upper
 from .harness import analyze, verify_counterexamples, verify_main, verify_topheavy
 from .intervals import build_interval
-from .permutations import ParseError, parse_permutation
+from .permutations import ParseError, Permutation, parse_permutation
 from .polished import PatternWitnessError, polished_decompose
 from .serialize import (
     decomposition_to_dict,
@@ -24,6 +24,25 @@ from .serialize import (
     level_graph_to_dict,
     level_graph_to_dot,
 )
+
+
+# [e, w0] of S_10 alone has 10! = 3,628,800 elements
+MAX_INTERVAL_DEGREE = 9
+
+
+def _parse(perm_text: str, builds_interval: bool) -> Permutation:
+    """The permutation in PERM_TEXT.  A command that builds [e, w] takes
+    degrees up to MAX_INTERVAL_DEGREE; a larger one is a usage error."""
+    try:
+        w = parse_permutation(perm_text)
+    except ParseError as exc:
+        raise click.ClickException(str(exc)) from exc
+    if builds_interval and w.n > MAX_INTERVAL_DEGREE:
+        raise click.BadParameter(
+            f"degree {w.n} is above {MAX_INTERVAL_DEGREE}, the largest for which [e, w] is built",
+            param_hint="PERM_TEXT",
+        )
+    return w
 
 
 def _emit(payload: str, output: str | None) -> None:
@@ -57,10 +76,7 @@ def main() -> None:
 def cmd_analyze(perm_text: str, output: str | None) -> None:
     """Report length, rank profile, pattern predicates, decomposition or
     witness, level-graph isomorphism, and the self-duality certificate."""
-    try:
-        w = parse_permutation(perm_text)
-    except ParseError as exc:
-        raise click.ClickException(str(exc)) from exc
+    w = _parse(perm_text, builds_interval=True)
     report = analyze(w)
     _emit(json.dumps(report, indent=2), output)
     click.echo(
@@ -125,11 +141,7 @@ def cmd_counterexamples(output: str | None):
 @click.option("--output", default=None)
 def cmd_export(perm_text: str, what: str, fmt: str, output: str | None):
     """Emit a level graph, the whole interval, or the polished decomposition."""
-    try:
-        w = parse_permutation(perm_text)
-    except ParseError as exc:
-        raise click.ClickException(str(exc)) from exc
-
+    w = _parse(perm_text, builds_interval=what != "decomposition")
     if what == "decomposition":
         try:
             decomp = polished_decompose(w)

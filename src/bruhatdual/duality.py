@@ -49,21 +49,19 @@ class LevelGraph:
         return [frozenset(s) for s in nbhd]
 
 
-def _level_graph(interval: BruhatInterval, small_rank: int, big_rank: int, side: str) -> LevelGraph:
-    small_ids = interval.ids_at_rank(small_rank)
-    big_ids = interval.ids_at_rank(big_rank)
-    big_pos = {bid: i for i, bid in enumerate(big_ids)}
-    edges = []
-    adjacency = interval.up if big_rank > small_rank else interval.down
-    for si, sid in enumerate(small_ids):
-        for nid in adjacency[sid]:
-            if interval.rank[nid] == big_rank:
-                edges.append((si, big_pos[nid]))
+def _level_graph(interval: BruhatInterval, rank: int, side: str) -> LevelGraph:
+    """The covers between ranks rank - 1 and rank, read off the down lists of
+    rank, each vertex indexed by its id less the first id of its rank."""
+    high, low = interval.ids_at_rank(rank), interval.ids_at_rank(rank - 1)
+    covers = [(x - high[0], y - low[0]) for x in high for y in interval.down[x]]
+    small, big = high, low
+    if side == "lower":
+        small, big, covers = low, high, [(j, i) for i, j in covers]
     return LevelGraph(
         side,
-        tuple(interval.elements[i] for i in small_ids),
-        tuple(interval.elements[i] for i in big_ids),
-        tuple(sorted(edges)),
+        tuple(interval.elements[i] for i in small),
+        tuple(interval.elements[i] for i in big),
+        tuple(sorted(covers)),
     )
 
 
@@ -71,15 +69,14 @@ def gamma_lower(interval: BruhatInterval) -> LevelGraph:
     """Cover graph between ranks 1 and 2 of [e, w]."""
     if interval.top_rank < 2:
         raise ValueError("level graphs need an interval of rank >= 2")
-    return _level_graph(interval, 1, 2, "lower")
+    return _level_graph(interval, 2, "lower")
 
 
 def gamma_upper(interval: BruhatInterval) -> LevelGraph:
     """Cover graph between coranks 1 and 2 of [e, w]."""
     if interval.top_rank < 2:
         raise ValueError("level graphs need an interval of rank >= 2")
-    top = interval.top_rank
-    return _level_graph(interval, top - 1, top - 2, "upper")
+    return _level_graph(interval, interval.top_rank - 1, "upper")
 
 
 def bipartite_isomorphic(g: LevelGraph, h: LevelGraph) -> Optional[dict[Element, Element]]:
@@ -322,13 +319,23 @@ def certify_self_dual(
 
     colors = _initial_colors(interval)
     if colors is not None:
-        hasse = [up + down for up, down in zip(interval.up, interval.down)]
+        hasse = _hasse_diagram(interval)
         colors = _refine_to_stable(hasse, colors)
         mapping = _search_antiautomorphism(interval, hasse, colors)
         if mapping is not None:
             pairing = {interval.elements[x]: interval.elements[y] for x, y in enumerate(mapping)}
             return DualityCertificate("explicit-bijection", pairing, None)
     return DualityCertificate("refuted", None, _refinement_summary(colors))
+
+
+def _hasse_diagram(interval: BruhatInterval) -> list[list[int]]:
+    """The undirected Hasse diagram that [e, w] and its dual share: each id's
+    down list followed by the ids covering it, in one pass over ``down``."""
+    hasse = [list(ys) for ys in interval.down]
+    for x, ys in enumerate(interval.down):
+        for y in ys:
+            hasse[y].append(x)
+    return hasse
 
 
 def _refine_to_stable(hasse: list[list[int]], colors: list[int]) -> Optional[list[int]]:
@@ -357,9 +364,11 @@ def _refine_to_stable(hasse: list[list[int]], colors: list[int]) -> Optional[lis
 def _initial_colors(interval: BruhatInterval) -> Optional[list[int]]:
     """(rank, up-degree, down-degree) colors of [e, w] and its dual, a dual
     vertex taking its rank in the dual and its degrees swapped; None when the
-    two halves' multisets differ, which needs no refinement."""
+    two halves' multisets differ, which needs no refinement.  Up-degrees are
+    counted over ``down``."""
     size = interval.size
-    ups = [len(ys) for ys in interval.up]
+    up_count = Counter(y for ys in interval.down for y in ys)
+    ups = [up_count[x] for x in range(size)]
     downs = [len(ys) for ys in interval.down]
     ranks = interval.rank + [interval.top_rank - r for r in interval.rank]
     table: dict[tuple, int] = {}

@@ -36,8 +36,6 @@ from .polished import (
     NotPolishedError,
     PolishedDecomposition,
     assemble_decomposition,
-    avoids_selfdual_patterns,
-    avoids_smooth_patterns,
     is_polished_bruteforce,
     selfdual_pattern_witness,
 )
@@ -145,8 +143,10 @@ def _sd_predicates(w: Permutation, sd4_mode: str) -> dict:
             stage = "bipartite_isomorphic"
             sd1 = bipartite_isomorphic(lower, upper) is not None
 
-        stage = "avoids_selfdual_patterns"
-        sd2 = avoids_selfdual_patterns(w)
+        stage = "selfdual_pattern_witness"
+        witness = selfdual_pattern_witness(w)
+        sd2 = witness is None
+        smooth = sd2 or witness.pattern.n == 5
 
         stage = "assemble_decomposition"
         decomp: Optional[PolishedDecomposition]
@@ -171,9 +171,6 @@ def _sd_predicates(w: Permutation, sd4_mode: str) -> dict:
                     sd4 = True
                 except ValueError:
                     sd4 = False
-
-        stage = "avoids_smooth_patterns"
-        smooth = avoids_smooth_patterns(w)
     except Exception as exc:
         raise _ElementFailure(stage, exc) from exc
 
@@ -221,15 +218,15 @@ def _topheavy_checks(n: int, w: Permutation) -> tuple[tuple[str, ...], list[dict
             violations.append(
                 {"n": n, "w": w.one_line(), "check": "rank-top-heavy", "profile": profile}
             )
-        stage = "avoids_smooth_patterns"
-        if not avoids_smooth_patterns(w):
+        stage = "selfdual_pattern_witness"
+        witness = selfdual_pattern_witness(w)
+        six = witness is None
+        if not (six or witness.pattern.n == 5):
             return (), violations
         if lw < 2:
             return ("smooth",), violations
         stage = "degree_extremes"
         atom_up, coatom_down = degree_extremes(interval)
-        stage = "avoids_selfdual_patterns"
-        six = avoids_selfdual_patterns(w)
     except Exception as exc:
         raise _ElementFailure(stage, exc) from exc
     if atom_up > coatom_down:
@@ -391,14 +388,14 @@ def analyze(w: Permutation) -> dict:
 
     lw = w.length()
     interval = build_interval(w)
+    witness = selfdual_pattern_witness(w)
     out: dict = {
         "permutation": w.one_line(),
         "n": w.n,
         "length": lw,
         "rank_profile": list(rank_profile(interval)),
-        "smooth": avoids_smooth_patterns(w),
+        "smooth": witness is None or witness.pattern.n == 5,
     }
-    witness = selfdual_pattern_witness(w)
     out["six_avoiding"] = witness is None
     if witness is None:
         decomp = assemble_decomposition(w)

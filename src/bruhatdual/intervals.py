@@ -1,5 +1,5 @@
-"""Bruhat order: comparison, lower intervals [e, w] with their cover graphs,
-and parabolic machinery (quotients, BP decompositions, m(u, J)).
+"""Bruhat order: comparison, lower intervals [e, w] with their cover
+relations, and parabolic machinery (quotients, BP decompositions, m(u, J)).
 
 Everything here is generic over the two element kinds (Permutation and
 SignedPermutation): elements expose length(), inverse(), multiplication,
@@ -12,7 +12,8 @@ build_interval reads covers from one cover graph per element class, kept for
 the life of the process: each element is interned to an integer id, wrapped
 once, and has its covers computed once, the first time any interval reaches
 it.  The graph never enumerates a group up front, so its memory is bounded
-by the distinct elements the process has touched.
+by the distinct elements the process has touched.  An interval keeps its
+covers once, as down lists; upward covers and up-degrees are read off them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import bisect
 import operator
 import threading
 from array import array
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -108,29 +110,23 @@ def subword_leq(u: Element, w: Element) -> bool:
 @dataclass
 class BruhatInterval:
     """The lower interval [e, w] with dense integer ids in BFS discovery order
-    (top first), rank = length, and both cover adjacencies.
+    (top first), rank = length, and the covers as sorted down lists.
 
     BFS from the top of a graded poset meets the ranks in turn, so rank is
-    non-increasing along ids and each rank is one contiguous id range.
-
-    The constructor sorts each down list and derives ``up``; ``index`` is
-    built on first read.  Immutable after construction; safe to share
-    between threads.
+    non-increasing along ids and each rank is one contiguous id range.  The
+    level graphs, the degree extremes and the self-duality search all read
+    covers off ``down``; ``index`` is built on first read.  Immutable after
+    construction; safe to share between threads.
     """
 
     top: Element
     elements: list[Element]
     rank: list[int]
-    down: list[list[int]]  # ids covered by each id
-    up: list[list[int]] = field(init=False)  # ids covering each id
+    down: list[list[int]]
 
     def __post_init__(self) -> None:
-        up: list[list[int]] = [[] for _ in self.elements]
-        for x, ys in enumerate(self.down):  # x ascends, so each up list comes out sorted
+        for ys in self.down:
             ys.sort()
-            for y in ys:
-                up[y].append(x)
-        self.up = up
 
     @cached_property
     def index(self) -> dict[Element, int]:
@@ -266,7 +262,9 @@ def degree_extremes(interval: BruhatInterval) -> tuple[int, int]:
     top_rank = interval.top_rank
     if top_rank < 2:
         raise ValueError("degree extremes need an interval of rank >= 2")
-    max_atom_up = max(len(interval.up[i]) for i in interval.ids_at_rank(1))
+    # every atom lies under some element of rank 2, so each is counted
+    atom_up = Counter(y for x in interval.ids_at_rank(2) for y in interval.down[x])
+    max_atom_up = max(atom_up.values())
     max_coatom_down = max(len(interval.down[i]) for i in interval.ids_at_rank(top_rank - 1))
     return (max_atom_up, max_coatom_down)
 

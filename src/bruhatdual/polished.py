@@ -64,6 +64,8 @@ def avoids_selfdual_patterns(w: Permutation) -> bool:
 
 
 def selfdual_pattern_witness(w: Permutation) -> Optional[PatternOccurrence]:
+    """The first of the six patterns in w, 3412 and 4231 tried first, or None:
+    w is smooth exactly when the witness is None or has length 5."""
     for p in SELFDUAL_PATTERNS:
         occ = contains_pattern(w, p)
         if occ is not None:

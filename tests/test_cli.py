@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -207,6 +208,40 @@ class TestExport:
         a = runner.invoke(main, ["export", "34521", "gamma-upper"]).stdout
         b = runner.invoke(main, ["export", "34521", "gamma-upper"]).stdout
         assert a == b
+
+
+class TestDegreeBound:
+    """Commands that build [e, w] take degrees up to 9: [e, w0] of S_10 has
+    10! elements.  A larger degree is a usage error before anything is built."""
+
+    W0_10 = "10,9,8,7,6,5,4,3,2,1"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["analyze", W0_10],
+            ["export", W0_10, "interval"],
+            ["export", W0_10, "gamma-lower"],
+            ["export", W0_10, "gamma-upper", "--format", "dot"],
+        ],
+        ids=["analyze", "interval", "gamma-lower", "gamma-upper"],
+    )
+    def test_degree_ten_is_usage_error(self, runner, args):
+        start = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert "degree 10 is above 9" in result.output
+
+    def test_degree_nine_is_built(self, runner):
+        result = runner.invoke(main, ["analyze", "213456789"])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["rank_profile"] == [1, 1]
+
+    def test_decomposition_takes_any_degree(self, runner):
+        result = runner.invoke(main, ["export", "2,1,3,4,5,6,7,8,9,10", "decomposition"])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout) == {"blocks": [{"S": [1], "J": [1], "Jp": []}]}
 
 
 class TestRoundTrips:

@@ -6,6 +6,8 @@ from oracle_utils import all_one_lines, brute_avoids_all
 
 from bruhatdual.duality import (
     DualityMap,
+    LevelGraph,
+    _hasse_diagram,
     _initial_colors,
     _refine_to_stable,
     bipartite_isomorphic,
@@ -16,7 +18,12 @@ from bruhatdual.duality import (
     gamma_upper,
 )
 from bruhatdual.harness import gamma_graphs_direct
-from bruhatdual.intervals import build_interval, longest_parabolic, parabolic_decompose
+from bruhatdual.intervals import (
+    build_interval,
+    degree_extremes,
+    longest_parabolic,
+    parabolic_decompose,
+)
 from bruhatdual.permutations import Permutation, identity, longest_permutation, parse_permutation
 from bruhatdual.polished import polished_decompose
 from bruhatdual.signed import CoxeterPresentation, SignedPermutation, group_elements
@@ -80,6 +87,39 @@ def check_isomorphism(g, h, mapping):
     assert {(mapping[a], mapping[b]) for a, b in g_edges} == h_edges
 
 
+def up_route(interval):
+    """gamma_lower, gamma_upper and degree_extremes of a rank >= 2 interval,
+    computed from up lists, the transpose of its down lists, with an explicit
+    rank filter."""
+    up = [[] for _ in interval.elements]
+    for x, ys in enumerate(interval.down):
+        for y in ys:
+            up[y].append(x)
+
+    def level(small_rank, big_rank, side):
+        small_ids, big_ids = interval.ids_at_rank(small_rank), interval.ids_at_rank(big_rank)
+        adjacency = up if big_rank > small_rank else interval.down
+        edges = sorted(
+            (si, big_ids.index(nid))
+            for si, sid in enumerate(small_ids)
+            for nid in adjacency[sid]
+            if interval.rank[nid] == big_rank
+        )
+        return LevelGraph(
+            side,
+            tuple(interval.elements[i] for i in small_ids),
+            tuple(interval.elements[i] for i in big_ids),
+            tuple(edges),
+        )
+
+    top = interval.top_rank
+    extremes = (
+        max(len(up[i]) for i in interval.ids_at_rank(1)),
+        max(len(interval.down[i]) for i in interval.ids_at_rank(top - 1)),
+    )
+    return level(1, 2, "lower"), level(top - 1, top - 2, "upper"), extremes
+
+
 class TestLevelGraphs:
     def test_figure_lower(self):
         interval = build_interval(parse_permutation("34521"))
@@ -122,6 +162,29 @@ class TestLevelGraphs:
         interval = build_interval(w)
         assert graph_as_dict(gamma_graphs_direct(w)[0]) == graph_as_dict(gamma_lower(interval))
         assert graph_as_dict(gamma_graphs_direct(w)[1]) == graph_as_dict(gamma_upper(interval))
+
+    @pytest.mark.parametrize(
+        "ws",
+        [
+            [Permutation(im) for im in all_one_lines(5)],
+            list(group_elements(CoxeterPresentation("B", 3))),
+        ],
+        ids=["S5", "B3"],
+    )
+    def test_down_lists_match_up_route(self, ws):
+        # the level graphs and degree extremes read covers off the down lists
+        # of the higher rank; the up route reads them from the lower rank
+        checked = 0
+        for w in ws:
+            interval = build_interval(w)
+            if interval.top_rank < 2:
+                continue
+            lower, upper, extremes = up_route(interval)
+            assert gamma_lower(interval) == lower
+            assert gamma_upper(interval) == upper
+            assert degree_extremes(interval) == extremes
+            checked += 1
+        assert checked == len(ws) - 1 - len(w.simple_indices())
 
 
 class TestBipartiteIso:
@@ -317,7 +380,7 @@ class TestCertify:
             interval = build_interval(w)
             size = interval.size
             union_rank = interval.rank + [interval.top_rank - r for r in interval.rank]
-            hasse = [up + down for up, down in zip(interval.up, interval.down)]
+            hasse = _hasse_diagram(interval)
             colors = _initial_colors(interval)
             if colors is None:
                 continue

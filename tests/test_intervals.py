@@ -37,8 +37,8 @@ perms = lambda n: st.permutations(list(range(1, n + 1))).map(tuple).map(Permutat
 
 def reference_interval(w):
     """Downward BFS over Permutation objects, through minimal_inversions()
-    and times_transposition_right(): (elements, rank, down, up) in the id
-    order build_interval promises."""
+    and times_transposition_right(): (elements, rank, down) in the id order
+    build_interval promises, each down list sorted."""
     elements, index, rank, down = [w], {w: 0}, [w.length()], [[]]
     frontier = [0]
     while frontier:
@@ -55,12 +55,9 @@ def reference_interval(w):
                     nxt.append(index[y])
                 down[xid].append(index[y])
         frontier = nxt
-    up = [[] for _ in elements]
-    for xid, ys in enumerate(down):
+    for ys in down:
         ys.sort()
-        for yid in ys:
-            up[yid].append(xid)
-    return elements, rank, down, up
+    return elements, rank, down
 
 
 class TestBruhatLeq:
@@ -163,9 +160,9 @@ class TestInterval:
     def test_matches_reference_bfs(self, ws):
         for w in ws:
             interval = build_interval(w)
-            elements, rank, down, up = reference_interval(w)
+            elements, rank, down = reference_interval(w)
             assert interval.elements == elements
-            assert (interval.rank, interval.down, interval.up) == (rank, down, up)
+            assert (interval.rank, interval.down) == (rank, down)
             assert interval.index == {x: i for i, x in enumerate(elements)}
             assert set(interval.elements) == subword_downset(w)
 
@@ -204,7 +201,6 @@ def interval_fields(interval):
         interval.index,
         interval.rank,
         interval.down,
-        interval.up,
     )
 
 

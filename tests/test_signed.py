@@ -205,18 +205,13 @@ class TestSignedPermutationOps:
 
 class TestLongestElement:
     def test_type_a_full(self):
-        from bruhatdual import longest_element
         from bruhatdual.permutations import longest_permutation
 
-        assert longest_element(A3, [1, 2, 3]) == longest_permutation(4)
+        assert longest_parabolic(A3.identity(), [1, 2, 3]) == longest_permutation(4)
 
     def test_empty_subset(self):
-        from bruhatdual import longest_element
-
-        assert longest_element(B3, []).is_identity()
+        assert longest_parabolic(B3.identity(), []).is_identity()
 
     def test_b2_full(self):
-        from bruhatdual import longest_element
-
-        w0 = longest_element(B2, [1, 2])
+        w0 = longest_parabolic(B2.identity(), [1, 2])
         assert w0.images == (-1, -2) and w0.length() == 4
