@@ -3,7 +3,10 @@ isomorphism, the explicit duality map coming from a polished decomposition,
 and poset self-duality certification.  The hinted path checks the map's
 images by id.  The search looks for an isomorphism from [e, w] to its dual
 by refining one color array over both, which share one undirected Hasse
-diagram (McKay-Piperno 2014).
+diagram (McKay-Piperno 2014).  Refinement runs a worklist of splitter
+cells (Paige-Tarjan 1987) and revisits only the cells next to a split;
+after an individualization the new two-vertex cell is the only splitter.
+The halves' color multisets are compared once, on the stable partition.
 """
 
 from __future__ import annotations
@@ -338,27 +341,62 @@ def _hasse_diagram(interval: BruhatInterval) -> list[list[int]]:
     return hasse
 
 
-def _refine_to_stable(hasse: list[list[int]], colors: list[int]) -> Optional[list[int]]:
-    """Refine the colors of [e, w] (ids x) and its dual (ids size + x), each
-    round joining a vertex's color with the sorted colors of its neighbors in
-    the Hasse diagram ``hasse`` both halves share, interned in id order,
-    until the number of colors stops growing.  Each color keeps one rank, so
-    neighbor colors tell covers from covered.  None as soon as the two
-    halves' color multisets part: no isomorphism respects them."""
+def _refine_to_stable(
+    hasse: list[list[int]], colors: list[int], splitters: Optional[list[int]] = None
+) -> Optional[list[int]]:
+    """Refine, in place, the colors of [e, w] (ids x) and its dual (ids
+    size + x) to the coarsest equitable partition below them, over the
+    Hasse diagram ``hasse`` both halves share.  Each color keeps one rank,
+    so neighbor counts tell covers from covered.
+
+    A worklist of splitter colors drives it (Paige-Tarjan 1987,
+    McKay-Piperno 2014): a splitter's cell splits every cell by how many
+    neighbors each vertex has inside it.  The largest part keeps the old
+    color, and with it the old cell's place in the worklist or its absence
+    (Hopcroft's rule); the other parts take fresh colors and join the
+    worklist.  Counts into the largest part are counts into the old cell,
+    already uniform or still to come, less counts into the queued parts.
+    ``splitters`` None queues every color; a caller that individualized
+    a vertex pair of an equitable partition passes only the pair's color.
+
+    None when the two halves' color multisets part.  Checking once, at the
+    end, is sound: cells only split, so a cell whose halves part leaves a
+    part-wise mismatch in some cell below it.  No isomorphism respects it.
+    """
     size = len(hasse)
-    count = len(set(colors))
-    while True:
-        table: dict[tuple, int] = {}
-        new = [
-            table.setdefault((c, tuple(sorted([half[y] for y in ys]))), len(table))
-            for half in (colors[:size], colors[size:])
-            for c, ys in zip(half, hasse)
-        ]
-        if Counter(new[:size]) != Counter(new[size:]):
-            return None
-        if len(table) == count:
-            return new
-        colors, count = new, len(table)
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    queue = list(cells) if splitters is None else list(splitters)
+    fresh = max(cells) + 1
+    while queue:
+        counts: dict[int, int] = {}
+        for v in cells[queue.pop()]:
+            offset = size if v >= size else 0
+            for y in hasse[v - offset]:
+                y += offset
+                counts[y] = counts.get(y, 0) + 1
+        touched: dict[int, list[int]] = {}
+        for y in counts:
+            touched.setdefault(colors[y], []).append(y)
+        for c, ys in touched.items():
+            cell = cells[c]
+            parts: dict[int, list[int]] = {}
+            for y in ys:
+                parts.setdefault(counts[y], []).append(y)
+            if len(ys) < len(cell):
+                parts[0] = [v for v in cell if v not in counts]
+            elif len(parts) == 1:
+                continue
+            ordered = sorted(parts.values(), key=len)
+            cells[c] = ordered.pop()
+            for part in ordered:
+                cells[fresh] = part
+                for v in part:
+                    colors[v] = fresh
+                queue.append(fresh)
+                fresh += 1
+    return colors if Counter(colors[:size]) == Counter(colors[size:]) else None
 
 
 def _initial_colors(interval: BruhatInterval) -> Optional[list[int]]:
@@ -382,7 +420,10 @@ def _search_antiautomorphism(
     """Backtracking individualization-refinement from stable ``colors`` of
     [e, w] and its dual over ``hasse``; returns ids mapping x to its image
     under some order-reversing bijection, or None (at once when ``colors`` is
-    None).  x and each candidate image, of one rank, share a fresh color."""
+    None).  x and each candidate image, of one rank, share a fresh color.
+    That two-vertex cell is the only splitter the refinement needs: every
+    other cell was already equitable, and the rest of the old cell counts as
+    the old cell less the new one."""
     if colors is None:
         return None
     size = interval.size
@@ -401,7 +442,8 @@ def _search_antiautomorphism(
         if colors[size + y] == colors[x]:
             trial = list(colors)
             trial[x] = trial[size + y] = fresh
-            hit = _search_antiautomorphism(interval, hasse, _refine_to_stable(hasse, trial))
+            refined = _refine_to_stable(hasse, trial, [fresh])
+            hit = _search_antiautomorphism(interval, hasse, refined)
             if hit is not None:
                 return hit
     return None

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +122,57 @@ def up_route(interval):
     return level(1, 2, "lower"), level(top - 1, top - 2, "upper"), extremes
 
 
+def round_refine(hasse, colors):
+    """1-WL reference refinement: each round joins a vertex's color with the
+    sorted colors of its Hasse neighbors in its own half, interned in id
+    order, until the number of colors stops growing; None as soon as the
+    halves' multisets part."""
+    size = len(hasse)
+    count = len(set(colors))
+    while True:
+        table = {}
+        new = [
+            table.setdefault((c, tuple(sorted([half[y] for y in ys]))), len(table))
+            for half in (colors[:size], colors[size:])
+            for c, ys in zip(half, hasse)
+        ]
+        if Counter(new[:size]) != Counter(new[size:]):
+            return None
+        if len(table) == count:
+            return new
+        colors, count = new, len(table)
+
+
+def first_occurrence(colors):
+    """A coloring relabeled 0, 1, ... in id order: equal exactly when two
+    colorings give the same partition."""
+    if colors is None:
+        return None
+    table = {}
+    return [table.setdefault(c, len(table)) for c in colors]
+
+
+def first_level_trials(colors, size):
+    """The search's first-level individualizations of stable ``colors``: the
+    first vertex x of the first smallest nontrivial cell of [e, w] and each
+    candidate image size + y take the fresh color, returned with it."""
+    cells = {}
+    for x in range(size):
+        cells.setdefault(colors[x], []).append(x)
+    nontrivial = [cell for cell in cells.values() if len(cell) > 1]
+    if not nontrivial:
+        return []
+    x = min(nontrivial, key=len)[0]
+    fresh = max(colors) + 1
+    trials = []
+    for y in range(size):
+        if colors[size + y] == colors[x]:
+            trial = list(colors)
+            trial[x] = trial[size + y] = fresh
+            trials.append((trial, fresh))
+    return trials
+
+
 class TestLevelGraphs:
     def test_figure_lower(self):
         interval = build_interval(parse_permutation("34521"))
@@ -209,6 +262,42 @@ class TestBipartiteIso:
         g = gamma_lower(build_interval(parse_permutation("231")))
         h = gamma_lower(build_interval(longest_permutation(4)))
         assert bipartite_isomorphic(g, h) is None
+
+    @pytest.mark.parametrize(
+        "ws",
+        [
+            [Permutation(im) for im in all_one_lines(5)],
+            list(group_elements(CoxeterPresentation("B", 3))),
+        ],
+        ids=["S5", "B3"],
+    )
+    def test_agrees_with_networkx(self, ws):
+        nx = pytest.importorskip("networkx")
+        GraphMatcher = nx.algorithms.isomorphism.GraphMatcher
+
+        def as_nx(g):
+            graph = nx.Graph()
+            graph.add_nodes_from((("small", i), {"side": "small"}) for i in range(len(g.small)))
+            graph.add_nodes_from((("big", j), {"side": "big"}) for j in range(len(g.big)))
+            graph.add_edges_from((("small", i), ("big", j)) for i, j in g.edges)
+            return graph
+
+        def same_side(a, b):
+            return a["side"] == b["side"]
+
+        outcomes = Counter()
+        for w in ws:
+            if w.length() < 2:
+                continue
+            interval = build_interval(w)
+            g, h = gamma_lower(interval), gamma_upper(interval)
+            mapping = bipartite_isomorphic(g, h)
+            matcher = GraphMatcher(as_nx(g), as_nx(h), node_match=same_side)
+            assert (mapping is not None) == matcher.is_isomorphic(), w
+            if mapping is not None:
+                check_isomorphism(g, h, mapping)
+            outcomes[mapping is not None] += 1
+        assert outcomes[True] and outcomes[False]
 
 
 class TestDualityMap:
@@ -368,9 +457,9 @@ class TestCertify:
         ids=["S1-5", "B3"],
     )
     def test_refined_colors_keep_one_rank(self, ws):
-        # the refinement keys a vertex on the sorted colors of all its Hasse
-        # neighbors, which splits covers from covered only if no color spans
-        # two ranks of [e, w] (ids x) and its dual (ids size + x)
+        # the refinement counts a vertex's Hasse neighbors in each cell, which
+        # tells covers from covered only if no color spans two ranks of
+        # [e, w] (ids x) and its dual (ids size + x)
         def assert_one_rank(colors, union_rank):
             rank_of = {}
             for c, r in zip(colors, union_rank):
@@ -378,7 +467,6 @@ class TestCertify:
 
         for w in ws:
             interval = build_interval(w)
-            size = interval.size
             union_rank = interval.rank + [interval.top_rank - r for r in interval.rank]
             hasse = _hasse_diagram(interval)
             colors = _initial_colors(interval)
@@ -388,19 +476,53 @@ class TestCertify:
             if colors is None:
                 continue
             assert_one_rank(colors, union_rank)
-            cells = {}
-            for x in range(size):
-                cells.setdefault(colors[x], []).append(x)
-            if len(cells) == size:
+            for trial, fresh in first_level_trials(colors, interval.size):
+                refined = _refine_to_stable(hasse, trial, [fresh])
+                if refined is not None:
+                    assert_one_rank(refined, union_rank)
+
+    @pytest.mark.parametrize(
+        "ws",
+        [
+            [Permutation(im) for n in range(1, 6) for im in all_one_lines(n)],
+            list(group_elements(CoxeterPresentation("B", 3))),
+        ],
+        ids=["S1-5", "B3"],
+    )
+    def test_refinement_matches_round_based(self, ws):
+        # the worklist refinement reaches the partition of the round-based
+        # reference at the root and after each first-level individualization,
+        # and refining from the individualized cell alone equals refining
+        # from every cell
+        trials = 0
+        for w in ws:
+            interval = build_interval(w)
+            hasse = _hasse_diagram(interval)
+            colors = _initial_colors(interval)
+            if colors is None:
                 continue
-            x = min((cell for cell in cells.values() if len(cell) > 1), key=len)[0]
-            for y in range(size):
-                if colors[size + y] == colors[x]:
-                    trial = list(colors)
-                    trial[x] = trial[size + y] = max(colors) + 1
-                    refined = _refine_to_stable(hasse, trial)
-                    if refined is not None:
-                        assert_one_rank(refined, union_rank)
+            expected = first_occurrence(round_refine(hasse, colors))
+            colors = _refine_to_stable(hasse, list(colors))
+            assert first_occurrence(colors) == expected
+            if colors is None:
+                continue
+            for trial, fresh in first_level_trials(colors, interval.size):
+                expected = first_occurrence(round_refine(hasse, trial))
+                assert first_occurrence(_refine_to_stable(hasse, list(trial))) == expected
+                assert first_occurrence(_refine_to_stable(hasse, list(trial), [fresh])) == expected
+                trials += 1
+        assert trials
+
+    def test_refinement_halves_part(self):
+        # no interval of S_1..S_6 or B_3 reaches this branch: the multisets
+        # agree at the start and part once vertex 0, a color-0 vertex with a
+        # color-1 neighbor, finds no match in the dual half, whose two
+        # color-0 vertices are each other's neighbors
+        hasse = [[1], [0], [], []]
+        colors = [0, 1, 0, 1, 0, 0, 1, 1]
+        assert Counter(colors[:4]) == Counter(colors[4:])
+        assert round_refine(hasse, colors) is None
+        assert _refine_to_stable(hasse, list(colors)) is None
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_self_dual_implies_gamma_iso(self, n):
