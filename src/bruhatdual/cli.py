@@ -8,6 +8,7 @@ verification command exits 0 exactly when no violations were found.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -45,6 +46,24 @@ def _parse(perm_text: str, builds_interval: bool) -> Permutation:
     return w
 
 
+def _check_output_dir(ctx: click.Context, param: click.Parameter, value: str | None) -> str | None:
+    if value is not None:
+        parent = os.path.dirname(value) or "."
+        if not os.path.isdir(parent):
+            raise click.BadParameter(f"directory {parent!r} does not exist.", ctx, param)
+    return value
+
+
+# checked while the arguments are parsed, so a bad path fails before any work
+_output_option = click.option(
+    "--output",
+    type=click.Path(dir_okay=False),
+    default=None,
+    callback=_check_output_dir,
+    help="Write to this file instead of stdout.",
+)
+
+
 def _emit(payload: str, output: str | None) -> None:
     if output:
         with open(output, "w") as fh:
@@ -72,7 +91,7 @@ def main() -> None:
 
 @main.command("analyze")
 @click.argument("perm_text")
-@click.option("--output", default=None, help="Write the JSON report to a file.")
+@_output_option
 def cmd_analyze(perm_text: str, output: str | None) -> None:
     """Report length, rank profile, pattern predicates, decomposition or
     witness, level-graph isomorphism, and the self-duality certificate."""
@@ -99,15 +118,10 @@ def cmd_analyze(perm_text: str, output: str | None) -> None:
 )
 @click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="BRUHAT_JOBS",
               show_default=True)
-@click.option(
-    "--force-full",
-    is_flag=True,
-    help="Accepted and ignored: full mode runs the refutation search at every n.",
-)
-@click.option("--output", default=None)
-def cmd_verify_main(n_max: int, sd4_mode: str, jobs: int, force_full: bool, output: str | None):
+@_output_option
+def cmd_verify_main(n_max: int, sd4_mode: str, jobs: int, output: str | None):
     """Check the four self-duality criteria agree on every w up to S_{n_max}."""
-    report = verify_main(n_max, sd4_mode=sd4_mode, jobs=jobs, force_full=force_full)
+    report = verify_main(n_max, sd4_mode=sd4_mode, jobs=jobs)
     _finish_report(report, output)
 
 
@@ -115,7 +129,7 @@ def cmd_verify_main(n_max: int, sd4_mode: str, jobs: int, force_full: bool, outp
 @click.option("--n-max", type=click.IntRange(2, 7), default=5, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="BRUHAT_JOBS",
               show_default=True)
-@click.option("--output", default=None)
+@_output_option
 def cmd_verify_topheavy(n_max: int, jobs: int, output: str | None):
     """Check cover-degree top-heaviness (equality iff six-avoiding) on smooth
     elements, and rank top-heaviness on every interval."""
@@ -124,7 +138,7 @@ def cmd_verify_topheavy(n_max: int, jobs: int, output: str | None):
 
 
 @main.command("counterexamples")
-@click.option("--output", default=None)
+@_output_option
 def cmd_counterexamples(output: str | None):
     """Verify the B_3 and B_2 counterexamples to the type-A equivalences."""
     report = verify_counterexamples()
@@ -138,7 +152,7 @@ def cmd_counterexamples(output: str | None):
 )
 @click.option("--format", "fmt", type=click.Choice(["dot", "json"]), default="json",
               show_default=True)
-@click.option("--output", default=None)
+@_output_option
 def cmd_export(perm_text: str, what: str, fmt: str, output: str | None):
     """Emit a level graph, the whole interval, or the polished decomposition."""
     w = _parse(perm_text, builds_interval=what != "decomposition")

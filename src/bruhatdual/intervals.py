@@ -3,17 +3,17 @@ relations, and parabolic machinery (quotients, BP decompositions, m(u, J)).
 
 Everything here is generic over the two element kinds (Permutation and
 SignedPermutation): elements expose length(), inverse(), multiplication,
-times_simple_right/left, descent sets, support(), down_covers() and
-simple_indices(), and each class has a static down_cover_images(images)
-that maps a raw one-line tuple to the tuples it covers; down_covers() wraps
-it.
+times_simple_right/left, descent sets, support() and simple_indices(), and
+each class has a static down_cover_images(images) that maps a raw one-line
+tuple to the tuples it covers, the one cover enumeration of its class.
 
-build_interval reads covers from one cover graph per element class, kept for
-the life of the process: each element is interned to an integer id, wrapped
-once, and has its covers computed once, the first time any interval reaches
-it.  The graph never enumerates a group up front, so its memory is bounded
-by the distinct elements the process has touched.  An interval keeps its
-covers once, as down lists; upward covers and up-degrees are read off them.
+build_interval is the only constructor of BruhatInterval.  It reads covers
+from one cover graph per element class, kept for the life of the process:
+each element is interned to an integer id, wrapped once, and has its covers
+computed once, the first time any interval reaches it.  The graph never
+enumerates a group up front, so its memory is bounded by the distinct
+elements the process has touched.  An interval keeps its covers once, as
+sorted down lists; upward covers and up-degrees are read off them.
 """
 
 from __future__ import annotations
@@ -123,10 +123,6 @@ class BruhatInterval:
     elements: list[Element]
     rank: list[int]
     down: list[list[int]]
-
-    def __post_init__(self) -> None:
-        for ys in self.down:
-            ys.sort()
 
     @cached_property
     def index(self) -> dict[Element, int]:
@@ -246,6 +242,8 @@ def build_interval(w: Element) -> BruhatInterval:
     bottoms = [i for i, r in enumerate(rank) if r == 0]
     if len(bottoms) != 1 or not elements[bottoms[0]].is_identity():
         raise AssertionError("interval lacks a unique identity minimum")
+    for ys in down:
+        ys.sort()
     return BruhatInterval(w, elements, rank, down)
 
 

@@ -138,25 +138,17 @@ class Permutation:
 
     def minimal_inversions(self) -> list[tuple[int, int]]:
         """Inversions (i, j) with no straddling value in between; multiplying
-        by t_ij on the right steps down one rank in Bruhat order.
+        by t_ij on the right steps down one rank in Bruhat order.  Read off
+        down_cover_images: each cover differs from w at exactly i and j.
 
         >>> Permutation((3, 4, 5, 2, 1)).minimal_inversions()
         [(1, 4), (2, 4), (3, 4), (4, 5)]
         """
         im = self.images
-        n = self.n
-        out = []
-        for i in range(n):
-            wi = im[i]
-            best = 0  # largest value < wi seen strictly between i and j
-            for j in range(i + 1, n):
-                wj = im[j]
-                if wj < wi:
-                    if wj > best:
-                        out.append((i + 1, j + 1))
-                        best = wj
-        out.sort()
-        return out
+        return [
+            tuple(k + 1 for k in range(self.n) if v[k] != im[k])
+            for v in self.down_cover_images(im)
+        ]
 
     @staticmethod
     def down_cover_images(im: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -184,10 +176,6 @@ class Permutation:
                     if wj == wi - 1:  # no value left between wj and wi
                         break
         return out
-
-    def down_covers(self) -> list[Permutation]:
-        """All elements covered by this one in Bruhat order."""
-        return [Permutation(im) for im in self.down_cover_images(self.images)]
 
 
 def identity(n: int) -> Permutation:

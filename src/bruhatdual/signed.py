@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence, Union
 
-from .diagrams import DynkinDiagram, type_a_diagram, type_b_diagram
 from .permutations import Permutation, identity as perm_identity
 
 
@@ -135,9 +134,6 @@ class SignedPermutation:
                 out.append(v)
         return out
 
-    def down_covers(self) -> list[SignedPermutation]:
-        return [SignedPermutation(v) for v in self.down_cover_images(self.images)]
-
 
 def _signed_length(im: tuple[int, ...]) -> int:
     """Positive roots sent negative: pair roots e_i - e_j and e_i + e_j
@@ -204,12 +200,6 @@ class CoxeterPresentation:
             raise ValueError(f"unsupported Coxeter type {self.kind!r}: only A and B")
         if self.rank < 1:
             raise ValueError("rank must be positive")
-
-    @property
-    def diagram(self) -> DynkinDiagram:
-        if self.kind == "A":
-            return type_a_diagram(self.rank)
-        return type_b_diagram(self.rank)
 
     def identity(self) -> Element:
         if self.kind == "A":

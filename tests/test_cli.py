@@ -13,14 +13,7 @@ from bruhatdual.duality import gamma_lower, gamma_upper
 from bruhatdual.intervals import build_interval
 from bruhatdual.permutations import parse_permutation
 from bruhatdual.polished import polished_decompose
-from bruhatdual.serialize import (
-    decomposition_from_dict,
-    decomposition_to_dict,
-    interval_from_dict,
-    interval_to_dict,
-    level_graph_from_dict,
-    level_graph_to_dict,
-)
+from bruhatdual.serialize import decomposition_to_dict, interval_to_dict, level_graph_to_dict
 from bruhatdual.signed import CoxeterPresentation, evaluate_word
 
 
@@ -149,15 +142,59 @@ class TestVerifyCommands:
             cli_mod._finish_report(fake, None)
         assert exc.value.code == 1
 
-    def test_force_full_flag_accepted(self, runner):
-        result = runner.invoke(main, ["verify-main", "--n-max", "3", "--force-full"])
-        assert result.exit_code == 0
-
     def test_analyze_output_file(self, runner, tmp_path):
         out = tmp_path / "a.json"
         result = runner.invoke(main, ["analyze", "4321", "--output", str(out)])
         assert result.exit_code == 0
         assert json.loads(out.read_text())["polished"] is True
+
+
+class TestOutputOption:
+    """An --output path that cannot be written is a usage error, raised
+    while the arguments are parsed, before any work starts."""
+
+    COMMANDS = [
+        ["verify-main", "--n-max", "3"],
+        ["verify-topheavy", "--n-max", "3"],
+        ["counterexamples"],
+        ["analyze", "21"],
+        ["export", "21", "interval"],
+    ]
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Make every command's work fail loudly, so an exit 2 shows that
+        the path was rejected before the work began."""
+        import bruhatdual.cli as cli_mod
+
+        def boom(*args, **kwargs):
+            raise AssertionError("work started before --output was checked")
+
+        for name in ("analyze", "verify_main", "verify_topheavy",
+                     "verify_counterexamples", "build_interval"):
+            monkeypatch.setattr(cli_mod, name, boom)
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
+    def test_missing_parent_directory(self, runner, tmp_path, no_work, args):
+        out = tmp_path / "missing" / "r.json"
+        result = runner.invoke(main, [*args, "--output", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--output" in result.output and "does not exist" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
+    def test_directory(self, runner, tmp_path, no_work, args):
+        result = runner.invoke(main, [*args, "--output", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "--output" in result.output and "is a directory" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_bare_file_name_is_written(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["verify-main", "--n-max", "3", "--output", "r.json"])
+        assert result.exit_code == 0
+        assert json.loads((tmp_path / "r.json").read_text())["violations"] == []
 
 
 class TestExport:
@@ -244,36 +281,72 @@ class TestDegreeBound:
         assert json.loads(result.stdout) == {"blocks": [{"S": [1], "J": [1], "Jp": []}]}
 
 
+def through_json(doc: dict) -> dict:
+    return json.loads(json.dumps(doc))
+
+
 class TestRoundTrips:
+    """The export documents, taken through JSON text and pinned literally.
+    Nothing in the package parses them back."""
+
+    INTERVAL_231 = {
+        "kind": "interval",
+        "element_kind": "permutation",
+        "top": "231",
+        "vertices": ["231", "132", "213", "123"],
+        "ranks": [2, 1, 1, 0],
+        "edges": [[0, 1], [0, 2], [1, 3], [2, 3]],
+    }
+
     def test_level_graph(self):
-        w = parse_permutation("34521")
+        w = parse_permutation("2413")
         interval = build_interval(w)
-        for g in (gamma_lower(interval), gamma_upper(interval)):
-            assert level_graph_from_dict(level_graph_to_dict(g, w)) == g
+        edges = [[0, 3], [0, 4], [1, 3], [1, 5], [2, 4], [2, 5]]
+        assert through_json(level_graph_to_dict(gamma_lower(interval), w)) == {
+            "kind": "level-graph",
+            "element_kind": "permutation",
+            "side": "lower",
+            "top": "2413",
+            "small_count": 3,
+            "vertices": ["1243", "1324", "2134", "1423", "2143", "2314"],
+            "edges": edges,
+        }
+        assert through_json(level_graph_to_dict(gamma_upper(interval), w)) == {
+            "kind": "level-graph",
+            "element_kind": "permutation",
+            "side": "upper",
+            "top": "2413",
+            "small_count": 3,
+            "vertices": ["1423", "2143", "2314", "1243", "1324", "2134"],
+            "edges": edges,
+        }
 
     def test_interval(self):
-        interval = build_interval(parse_permutation("3421"))
-        assert interval_from_dict(interval_to_dict(interval)) == interval
+        doc = interval_to_dict(build_interval(parse_permutation("231")))
+        assert through_json(doc) == self.INTERVAL_231
 
     def test_interval_signed(self):
-        b2 = CoxeterPresentation("B", 2)
-        el = evaluate_word([1, 2, 1], b2).element
-        interval = build_interval(el)
-        assert interval_from_dict(interval_to_dict(interval)) == interval
-
-    def test_interval_out_of_rank_order_rejected(self):
-        doc = interval_to_dict(build_interval(parse_permutation("231")))
-        doc["vertices"].reverse()
-        doc["ranks"].reverse()
-        with pytest.raises(ValueError, match="non-increasing rank order"):
-            interval_from_dict(doc)
+        el = evaluate_word([1, 2, 1], CoxeterPresentation("B", 2)).element
+        assert through_json(interval_to_dict(build_interval(el))) == {
+            "kind": "interval",
+            "element_kind": "signed",
+            "top": "-1,2",
+            "vertices": ["-1,2", "2,-1", "-2,1", "1,-2", "2,1", "1,2"],
+            "ranks": [3, 2, 2, 1, 1, 0],
+            "edges": [[0, 1], [0, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 5], [4, 5]],
+        }
 
     def test_decomposition(self):
         d = polished_decompose(parse_permutation("154973268"))
-        assert decomposition_from_dict(decomposition_to_dict(d)) == d
+        assert through_json(decomposition_to_dict(d)) == {
+            "blocks": [
+                {"S": [8], "J": [8], "Jp": []},
+                {"S": [2, 3, 4, 5, 6, 7], "J": [2, 3, 4, 6, 7], "Jp": [4, 5, 6]},
+            ]
+        }
 
-    def test_json_is_valid_through_files(self, tmp_path):
-        d = polished_decompose(parse_permutation("4321"))
-        path = tmp_path / "d.json"
-        path.write_text(json.dumps(decomposition_to_dict(d)))
-        assert decomposition_from_dict(json.loads(path.read_text())) == d
+    def test_json_is_valid_through_files(self, runner, tmp_path):
+        path = tmp_path / "i.json"
+        result = runner.invoke(main, ["export", "231", "interval", "--output", str(path)])
+        assert result.exit_code == 0
+        assert json.loads(path.read_text()) == self.INTERVAL_231

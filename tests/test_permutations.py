@@ -139,7 +139,7 @@ class TestMinimalInversions:
     def test_34521_coatoms(self):
         w = parse_permutation("34521")
         assert len(w.minimal_inversions()) == 4
-        coatoms = {c.one_line() for c in w.down_covers()}
+        coatoms = {Permutation(c).one_line() for c in Permutation.down_cover_images(w.images)}
         assert coatoms == {"34251", "32541", "24531", "34512"}
 
     def test_identity_empty(self):
