@@ -126,7 +126,7 @@ def cmd_verify_main(n_max: int, sd4_mode: str, jobs: int, output: str | None):
 
 
 @main.command("verify-topheavy")
-@click.option("--n-max", type=click.IntRange(2, 7), default=5, show_default=True)
+@click.option("--n-max", type=click.IntRange(2, 8), default=5, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="BRUHAT_JOBS",
               show_default=True)
 @_output_option
@@ -155,14 +155,14 @@ def cmd_counterexamples(output: str | None):
 @_output_option
 def cmd_export(perm_text: str, what: str, fmt: str, output: str | None):
     """Emit a level graph, the whole interval, or the polished decomposition."""
+    if what == "decomposition" and fmt == "dot":
+        raise click.BadParameter("decompositions export as JSON only", param_hint="'--format'")
     w = _parse(perm_text, builds_interval=what != "decomposition")
     if what == "decomposition":
         try:
             decomp = polished_decompose(w)
         except PatternWitnessError as exc:
             raise click.ClickException(str(exc)) from exc
-        if fmt == "dot":
-            raise click.ClickException("decompositions export as JSON only")
         _emit(json.dumps(decomposition_to_dict(decomp), indent=2), output)
         return
 

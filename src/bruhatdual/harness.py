@@ -40,7 +40,6 @@ from .polished import (
     selfdual_pattern_witness,
 )
 from .signed import CoxeterPresentation, evaluate_word, group_elements
-from .diagrams import type_b_diagram
 
 
 @dataclass
@@ -329,8 +328,8 @@ def verify_topheavy(n_max: int, jobs: int = 1) -> VerificationReport:
     equality exactly on the six-pattern avoiders.  The ``smooth`` tally
     counts every smooth w, as in verify_main; ``degree_equal`` plus
     ``degree_strict`` counts those of length >= 2."""
-    if not 2 <= n_max <= 7:
-        raise ValueError("n_max must be between 2 and 7")
+    if not 2 <= n_max <= 8:
+        raise ValueError("n_max must be between 2 and 8")
     keys = ("smooth", "degree_equal", "degree_strict")
     return _sweep("thm-topheavy", range(2, n_max + 1), _topheavy_checks, keys, (), jobs)
 
@@ -366,7 +365,7 @@ def verify_counterexamples() -> VerificationReport:
         cert = certify_self_dual(build_interval(x))
         if not cert.is_self_dual:
             violations.append({"check": "b2-self-dual", "w": x.one_line()})
-        if is_polished_bruteforce(x, type_b_diagram(2)):
+        if is_polished_bruteforce(x, b2):
             violations.append({"check": "b2-not-polished", "w": x.one_line()})
 
     return VerificationReport(

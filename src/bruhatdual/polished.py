@@ -16,7 +16,6 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagrams import DynkinDiagram, type_a_diagram, type_b_diagram
 from .intervals import build_interval, longest_parabolic
 from .permutations import (
     Permutation,
@@ -286,7 +285,7 @@ def assemble_decomposition(w: Permutation) -> PolishedDecomposition:
             ordered.append(block)
     decomp = PolishedDecomposition(tuple(ordered))
 
-    if reconstruct(decomp, type_a_diagram(w.n - 1)) != w:
+    if reconstruct(decomp, CoxeterPresentation("A", w.n - 1)) != w:
         raise NotPolishedError(f"reconstruction mismatch for {w.one_line()}")
     return decomp
 
@@ -306,15 +305,7 @@ def polished_decompose(w: Permutation) -> PolishedDecomposition:
         ) from exc
 
 
-def group_for_diagram(diagram: DynkinDiagram) -> CoxeterPresentation:
-    rank = len(diagram.nodes)
-    for kind, factory in (("A", type_a_diagram), ("B", type_b_diagram)):
-        if diagram == factory(rank):
-            return CoxeterPresentation(kind, rank)
-    raise ValueError("diagram is not a type A or B path with standard labels")
-
-
-def validate_decomposition(decomp: PolishedDecomposition, diagram: DynkinDiagram) -> None:
+def validate_decomposition(decomp: PolishedDecomposition, diagram: CoxeterPresentation) -> None:
     nodes = set(diagram.nodes)
     used: set[int] = set()
     for block in decomp.blocks:
@@ -335,12 +326,12 @@ def validate_decomposition(decomp: PolishedDecomposition, diagram: DynkinDiagram
             )
 
 
-def reconstruct(decomp: PolishedDecomposition, diagram: DynkinDiagram) -> Element:
-    """The left-to-right product of the block triples, after validating the
-    structural constraints on the block data."""
+def reconstruct(decomp: PolishedDecomposition, diagram: CoxeterPresentation) -> Element:
+    """The left-to-right product of the block triples in the group
+    ``diagram``, whose Dynkin diagram is the path 1 - 2 - ... - rank, after
+    validating the structural constraints on the block data."""
     validate_decomposition(decomp, diagram)
-    group = group_for_diagram(diagram)
-    e = group.identity()
+    e = diagram.identity()
     out = e
     for block in decomp.blocks:
         out = (
@@ -356,11 +347,10 @@ def reconstruct(decomp: PolishedDecomposition, diagram: DynkinDiagram) -> Elemen
 
 
 @functools.lru_cache(maxsize=16)
-def _candidate_blocks(diagram: DynkinDiagram) -> tuple[tuple[frozenset[int], Element], ...]:
+def _candidate_blocks(diagram: CoxeterPresentation) -> tuple[tuple[frozenset[int], Element], ...]:
     """All (S, product) pairs over connected S and covers S = J | J' with
     totally disconnected overlap, deduplicated by product."""
-    group = group_for_diagram(diagram)
-    e = group.identity()
+    e = diagram.identity()
     nodes = list(diagram.nodes)
     out: dict[tuple[frozenset[int], Element], None] = {}
     for mask in range(1, 1 << len(nodes)):
@@ -391,17 +381,18 @@ def _candidate_blocks(diagram: DynkinDiagram) -> tuple[tuple[frozenset[int], Ele
     return tuple(out.keys())
 
 
-def is_polished_bruteforce(w: Element, diagram: DynkinDiagram) -> bool:
-    """Exhaustive search for Definition-2.4-style block data multiplying to w.
+def is_polished_bruteforce(w: Element, diagram: CoxeterPresentation) -> bool:
+    """Exhaustive search for Definition-2.4-style block data multiplying to w
+    in the group ``diagram``, whose Dynkin diagram is the path 1 - ... - rank.
 
     Ordered sequences of pairwise disjoint connected supports are enumerated;
     consecutive blocks whose supports do not interact in the diagram are
     forced into min-first order to cut the search space.
     """
-    if len(diagram.nodes) > 8:
-        raise ValueError(f"diagram rank {len(diagram.nodes)} exceeds brute-force bound 8")
-    group = group_for_diagram(diagram)
-    if group.identity().n != w.n or not isinstance(w, type(group.identity())):
+    if diagram.rank > 8:
+        raise ValueError(f"diagram rank {diagram.rank} exceeds brute-force bound 8")
+    e = diagram.identity()
+    if e.n != w.n or not isinstance(w, type(e)):
         raise ValueError("element does not belong to the diagram's group")
     if w.is_identity():
         return True

@@ -1,5 +1,7 @@
 """Signed permutations (hyperoctahedral groups B_n) and a small Coxeter
-presentation wrapper covering the two types this package works in.
+presentation covering the two types this package works in.  A presentation
+names its group and answers the Dynkin-diagram queries the polished block
+data needs: in both types the diagram is the path 1 - 2 - ... - rank.
 
 Generator conventions match the relations (s_1 s_2)^3 = e, (s_2 s_3)^4 = e:
 s_i for i < n is the adjacent transposition of positions (i, i+1) and s_n is
@@ -206,6 +208,23 @@ class CoxeterPresentation:
             return perm_identity(self.rank + 1)
         return signed_identity(self.rank)
 
+    # -- Dynkin diagram: the path 1 - 2 - ... - rank ----------------------------------
+    # B's label-4 edge (rank - 1, rank) is still an edge: labels change no adjacency.
+
+    @property
+    def nodes(self) -> range:
+        return range(1, self.rank + 1)
+
+    def adjacent(self, s: int, t: int) -> bool:
+        return abs(s - t) == 1
+
+    def is_connected(self, subset: frozenset[int]) -> bool:
+        """Connectedness of the induced subpath; empty sets count as connected."""
+        return not subset or max(subset) - min(subset) + 1 == len(subset)
+
+    def is_totally_disconnected(self, subset: frozenset[int]) -> bool:
+        return not any(s + 1 in subset for s in subset)
+
 
 class WordResult(NamedTuple):
     element: Element
@@ -221,35 +240,6 @@ def evaluate_word(word: Sequence[int], group: CoxeterPresentation) -> WordResult
             raise ValueError(f"unknown generator s_{i} for {group.kind}_{group.rank}")
         x = x.times_simple_right(i)
     return WordResult(x, x.length() == len(word))
-
-
-def parse_word(text: str) -> tuple[int, ...]:
-    """Generator indices separated by whitespace or commas, e.g. '3 2 3 1 2'."""
-    tokens = text.replace(",", " ").split()
-    if not tokens:
-        return ()
-    out = []
-    for t in tokens:
-        if not t.isdigit():
-            raise ValueError(f"bad generator token {t!r}")
-        out.append(int(t))
-    return tuple(out)
-
-
-def all_reflections(group: CoxeterPresentation) -> list[Element]:
-    """The full reflection set, directly enumerated per type."""
-    if group.rank > 8:
-        raise ValueError(f"rank {group.rank} exceeds the supported bound 8")
-    if group.kind == "A":
-        n = group.rank + 1
-        out: list[Element] = []
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                im = list(range(1, n + 1))
-                im[i - 1], im[j - 1] = j, i
-                out.append(Permutation(tuple(im)))
-        return out
-    return list(reflections_b(group.rank))
 
 
 def group_elements(group: CoxeterPresentation) -> Iterator[Element]:

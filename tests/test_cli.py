@@ -85,7 +85,7 @@ class TestVerifyCommands:
 
     def test_bad_n_max(self, runner):
         for command, n_max in [("verify-main", 0), ("verify-main", 9),
-                               ("verify-topheavy", 1), ("verify-topheavy", 8)]:
+                               ("verify-topheavy", 1), ("verify-topheavy", 9)]:
             result = runner.invoke(main, [command, "--n-max", str(n_max)])
             assert result.exit_code == 2 and "--n-max" in result.output, (command, n_max)
 
@@ -230,6 +230,19 @@ class TestExport:
         result = runner.invoke(main, ["export", "34521", "decomposition"])
         assert result.exit_code != 0
         assert "34521" in result.stderr
+
+    @pytest.mark.parametrize("perm", ["4321", "34521"])
+    def test_decomposition_dot_is_usage_error(self, runner, monkeypatch, perm):
+        import bruhatdual.cli as cli_mod
+
+        def boom(w):
+            raise AssertionError("decomposition ran before --format was checked")
+
+        monkeypatch.setattr(cli_mod, "polished_decompose", boom)
+        result = runner.invoke(main, ["export", perm, "decomposition", "--format", "dot"])
+        assert result.exit_code == 2, result.output
+        assert "--format" in result.output and "JSON only" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_gamma_rejects_short(self, runner):
         result = runner.invoke(main, ["export", "21", "gamma-lower"])

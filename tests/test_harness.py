@@ -89,6 +89,21 @@ class TestSd4Mode:
 
 
 class TestTopheavy:
+    def test_sweeps_eight(self, monkeypatch):
+        calls = []
+
+        def record(worker, chunk_args, jobs):
+            calls.append(chunk_args)
+            return [(0, Counter(), []) for _ in chunk_args]
+
+        monkeypatch.setattr(harness, "_run_chunks", record)
+        harness.verify_topheavy(8, jobs=2)
+        assert len(calls) == 1
+        at_eight = [args for args in calls[0] if args[0] == 8]
+        assert [first for _, first in at_eight] == list(range(1, 9))
+        with pytest.raises(ValueError, match="between 2 and 8"):
+            harness.verify_topheavy(9)
+
     def test_ranks_checked_at_seven(self):
         # w(1) = 1 gives [e, w] = [e, v] for the v in S_6 that w shifts, so
         # smooth is S_6's census count 366; the degree tallies split S_6's

@@ -12,10 +12,8 @@ from bruhatdual.intervals import (
 from bruhatdual.signed import (
     CoxeterPresentation,
     SignedPermutation,
-    all_reflections,
     evaluate_word,
     group_elements,
-    parse_word,
     reflections_b,
     signed_identity,
 )
@@ -50,6 +48,44 @@ class TestGroupStructure:
     def test_unsupported_type_rejected(self):
         with pytest.raises(ValueError, match="only A and B"):
             CoxeterPresentation("D", 4)
+
+
+class TestDiagramQueries:
+    """The path predicates against the Dynkin diagram's explicit edge set;
+    type B's label-4 edge (4, 5) is an edge like any other."""
+
+    PATHS = [
+        (CoxeterPresentation("A", 6), {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)}),
+        (CoxeterPresentation("B", 5), {(1, 2), (2, 3), (3, 4), (4, 5)}),
+    ]
+
+    @staticmethod
+    def bfs_connected(S, edges):
+        if not S:
+            return True
+        start = min(S)
+        seen, todo = {start}, [start]
+        while todo:
+            s = todo.pop()
+            for a, b in edges:
+                for x, y in ((a, b), (b, a)):
+                    if x == s and y in S and y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+        return seen == set(S)
+
+    @pytest.mark.parametrize("group,edges", PATHS, ids=["A6", "B5"])
+    def test_subsets_match_edge_set(self, group, edges):
+        nodes = list(group.nodes)
+        assert nodes == list(range(1, group.rank + 1))
+        for s in nodes:
+            for t in nodes:
+                assert group.adjacent(s, t) == ((s, t) in edges or (t, s) in edges)
+        for r in range(len(nodes) + 1):
+            for S in map(frozenset, itertools.combinations(nodes, r)):
+                assert group.is_connected(S) == self.bfs_connected(S, edges), S
+                inside = any(a in S and b in S for a, b in edges)
+                assert group.is_totally_disconnected(S) == (not inside), S
 
 
 class TestLength:
@@ -87,15 +123,6 @@ class TestLength:
 
 
 class TestReflections:
-    def test_counts(self):
-        assert len(all_reflections(CoxeterPresentation("A", 2))) == 3
-        assert len(all_reflections(B2)) == 4
-        assert len(all_reflections(B3)) == 9
-
-    def test_capacity(self):
-        with pytest.raises(ValueError, match="bound 8"):
-            all_reflections(CoxeterPresentation("B", 9))
-
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_conjugacy_closure(self, n):
         group = CoxeterPresentation("B", n)
@@ -159,13 +186,6 @@ class TestWords:
     def test_unknown_generator(self):
         with pytest.raises(ValueError, match="unknown generator"):
             evaluate_word([4], B3)
-
-    def test_parse_word_formats(self):
-        assert parse_word("3 2 3 1 2 3 1 2") == (3, 2, 3, 1, 2, 3, 1, 2)
-        assert parse_word("3,2,3") == (3, 2, 3)
-        assert parse_word("") == ()
-        with pytest.raises(ValueError, match="bad generator"):
-            parse_word("3 x")
 
 
 class TestSignedPermutationOps:
