@@ -56,7 +56,7 @@ def _level_graph(interval: BruhatInterval, rank: int, side: str) -> LevelGraph:
     """The covers between ranks rank - 1 and rank, read off the down lists of
     rank, each vertex indexed by its id less the first id of its rank."""
     high, low = interval.ids_at_rank(rank), interval.ids_at_rank(rank - 1)
-    covers = [(x - high[0], y - low[0]) for x in high for y in interval.down[x]]
+    covers = [(i, y - low[0]) for i, ys in enumerate(interval.down_at_rank(rank)) for y in ys]
     small, big = high, low
     if side == "lower":
         small, big, covers = low, high, [(j, i) for i, j in covers]
@@ -201,9 +201,9 @@ class DualityMap:
 
     Type A only: every parabolic subgroup involved is then a Young subgroup,
     held as its position windows.  The right factorization across W_J sorts
-    within the windows of J, w_0(J) reverses them, and products compose raw
-    one-line tuples.  It makes no Bruhat comparison: duality_map checks one
-    image, certify_self_dual a whole interval's images by id.
+    within the windows of J, w_0(J) reverses them, and the map takes, composes
+    and returns raw one-line tuples.  It makes no Bruhat comparison:
+    duality_map checks one image, certify_self_dual a whole interval's by id.
     """
 
     def __init__(self, w: Element, decomp: PolishedDecomposition):
@@ -229,9 +229,9 @@ class DualityMap:
             for b in decomp.blocks
         ]
 
-    def __call__(self, u: Element) -> Permutation:
+    def __call__(self, images: tuple[int, ...]) -> tuple[int, ...]:
         parts = []
-        rem = u.images
+        rem = images
         for windows in self._block_windows:
             rem, part = _split(rem, windows)
             parts.append(part)
@@ -243,7 +243,7 @@ class DualityMap:
         for (jp_windows, w0_j, w0_meet, w0_jp), ui in zip(self._blocks, reversed(parts)):
             quotient, parabolic = _split(ui, jp_windows)
             factors += (w0_j, quotient, w0_meet, parabolic, w0_jp)
-        return Permutation(_product(factors)) if factors else self.w.identity_like()
+        return _product(factors) if factors else self._identity
 
 
 def duality_map(w: Element, decomp: PolishedDecomposition, u: Element) -> Element:
@@ -257,7 +257,7 @@ def duality_map(w: Element, decomp: PolishedDecomposition, u: Element) -> Elemen
     dual = DualityMap(w, decomp)
     if not bruhat_leq(u, w):
         raise ValueError(f"{u!r} is not below {w!r}")
-    out = dual(u)
+    out = Permutation(dual(u.images))
     if not bruhat_leq(out, w):
         raise AssertionError(f"duality image {out!r} escaped [e, {w!r}]")
     return out
@@ -309,8 +309,8 @@ def certify_self_dual(
     """
     if decomp_hint is not None:
         dual = DualityMap(interval.top, decomp_hint)
-        elements, index = interval.elements, interval.index
-        image = [index.get(dual(x), -1) for x in elements]
+        elements = interval.elements
+        image = interval.ids_of(dual(x.images) for x in elements)
         if -1 in image or len(set(image)) != interval.size or not _reverses_covers(interval, image):
             raise ValueError("decomposition hint does not induce an antiautomorphism")
         pairing = {x: elements[y] for x, y in zip(elements, image)}
@@ -402,12 +402,9 @@ def _refine_to_stable(
 def _initial_colors(interval: BruhatInterval) -> Optional[list[int]]:
     """(rank, up-degree, down-degree) colors of [e, w] and its dual, a dual
     vertex taking its rank in the dual and its degrees swapped; None when the
-    two halves' multisets differ, which needs no refinement.  Up-degrees are
-    counted over ``down``."""
+    two halves' multisets differ, which needs no refinement and no down lists."""
     size = interval.size
-    up_count = Counter(y for ys in interval.down for y in ys)
-    ups = [up_count[x] for x in range(size)]
-    downs = [len(ys) for ys in interval.down]
+    ups, downs = interval.degrees()
     ranks = interval.rank + [interval.top_rank - r for r in interval.rank]
     table: dict[tuple, int] = {}
     colors = [table.setdefault(key, len(table)) for key in zip(ranks, ups + downs, downs + ups)]
@@ -471,7 +468,6 @@ def exhaustive_antiautomorphism_exists(interval: BruhatInterval, cap: int = 10) 
         return None
     top = interval.top_rank
     order = [x for k in range(top + 1) for x in interval.ids_at_rank(k)]
-    mirrored_rank_ids = {k: interval.ids_at_rank(top - k) for k in range(top + 1)}
     edge_set = {(x, y) for x, ys in enumerate(interval.down) for y in ys}
     mapping: dict[int, int] = {}
     used: set[int] = set()
@@ -480,7 +476,7 @@ def exhaustive_antiautomorphism_exists(interval: BruhatInterval, cap: int = 10) 
         if pos == len(order):
             return True
         x = order[pos]
-        for img in mirrored_rank_ids[interval.rank[x]]:
+        for img in interval.ids_at_rank(top - interval.rank[x]):
             if img in used:
                 continue
             # every down-neighbor sits in an earlier rank, hence is placed

@@ -12,19 +12,17 @@ from one cover graph per element class, kept for the life of the process:
 each element is interned to an integer id, wrapped once, and has its covers
 computed once, the first time any interval reaches it.  The graph never
 enumerates a group up front, so its memory is bounded by the distinct
-elements the process has touched.  An interval keeps its covers once, as
-sorted down lists; upward covers and up-degrees are read off them.
+elements the process has touched.  An interval holds graph ids in rank
+layers and builds its elements, ranks and sorted down lists on first read.
 """
 
 from __future__ import annotations
 
-import bisect
-import operator
 import threading
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, pairwise, repeat
 from typing import Iterable
 
 from .permutations import Permutation
@@ -109,40 +107,76 @@ def subword_leq(u: Element, w: Element) -> bool:
 
 @dataclass
 class BruhatInterval:
-    """The lower interval [e, w] with dense integer ids in BFS discovery order
-    (top first), rank = length, and the covers as sorted down lists.
-
-    BFS from the top of a graded poset meets the ranks in turn, so rank is
-    non-increasing along ids and each rank is one contiguous id range.  The
-    level graphs, the degree extremes and the self-duality search all read
-    covers off ``down``; ``index`` is built on first read.  Immutable after
-    construction; safe to share between threads.
+    """The lower interval [e, w] as rank layers of its class's cover graph:
+    id i, in BFS discovery order from the top, is node ``gids[i]`` of
+    ``graph``, and layer j, of rank top_rank - j, is the id range
+    ``offsets[j]:offsets[j + 1]``.  ``rank``, ``elements``, the sorted down
+    lists ``down`` and ``index`` are built on first read; ``degrees`` and
+    ``down_at_rank`` need no ``down``.  Immutable apart from those caches;
+    safe to share between threads.
     """
 
     top: Element
-    elements: list[Element]
-    rank: list[int]
-    down: list[list[int]]
-
-    @cached_property
-    def index(self) -> dict[Element, int]:
-        return {x: i for i, x in enumerate(self.elements)}
+    graph: _CoverGraph
+    gids: list[int]
+    offsets: list[int]
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.offsets[-1]
 
     @property
     def top_rank(self) -> int:
-        return self.rank[0]
+        return len(self.offsets) - 2
+
+    def _bounds(self, k: int) -> tuple[int, int]:
+        j = self.top_rank - k  # rank k is layer j; no ids outside 0..top_rank
+        return (self.offsets[j], self.offsets[j + 1]) if 0 <= k and 0 <= j else (0, 0)
 
     def ids_at_rank(self, k: int) -> list[int]:
-        lo = bisect.bisect_left(self.rank, -k, key=operator.neg)
-        hi = bisect.bisect_right(self.rank, -k, lo=lo, key=operator.neg)
-        return list(range(lo, hi))
+        return list(range(*self._bounds(k)))
+
+    @cached_property
+    def rank(self) -> list[int]:
+        return [k for k in range(self.top_rank, -1, -1) for _ in range(*self._bounds(k))]
+
+    @cached_property
+    def elements(self) -> list[Element]:
+        return list(map(self.graph.elements.__getitem__, self.gids))
+
+    @cached_property
+    def down(self) -> list[list[int]]:
+        return [ys for k in range(self.top_rank, -1, -1) for ys in self.down_at_rank(k)]
+
+    def down_at_rank(self, k: int) -> list[list[int]]:
+        """The down lists of the ids of rank k, in id order: that rank's
+        slice of ``down``, built alone while ``down`` is not."""
+        lo, hi = self._bounds(k)
+        if "down" in self.__dict__:
+            return self.down[lo:hi]
+        position, covers = self._position.__getitem__, self.graph.covers
+        return [sorted(map(position, covers[g])) for g in self.gids[lo:hi]]
+
+    def degrees(self) -> tuple[list[int], list[int]]:
+        """The up- and down-degrees of the ids, read off the cover graph."""
+        covers = list(map(self.graph.covers.__getitem__, self.gids))
+        up = Counter(chain.from_iterable(covers))
+        return [up[g] for g in self.gids], list(map(len, covers))
+
+    @cached_property
+    def index(self) -> dict[Element, int]:
+        return dict(zip(self.elements, range(self.size)))
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        return dict(zip(self.gids, range(self.size)))
+
+    def ids_of(self, images: Iterable[tuple[int, ...]]) -> list[int]:
+        """The ids of one-line tuples, -1 for a tuple outside [e, w]."""
+        return list(map(self._position.get, map(self.graph.ids.get, images), repeat(-1)))
 
     def contains(self, u: Element) -> bool:
-        return u in self.index
+        return type(u) is self.graph.cls and self.ids_of([u.images])[0] >= 0
 
 
 class _CoverGraph:
@@ -151,18 +185,15 @@ class _CoverGraph:
     A one-line tuple gets the next integer id the first time it is met and
     is wrapped, and so validated, once through the class constructor.  A
     node's covers come from ``cls.down_cover_images`` on its first expansion
-    and are kept as ids in one flat array, node ``g`` owning
-    ``covers[start[g]:stop[g]]``; ``start[g]`` is -1 until then.  Growth
-    takes a lock, so threads may build intervals side by side.
+    and are kept as the tuple of their ids ``covers[g]``, None until then.
+    Growth takes a lock, so threads may build intervals side by side.
     """
 
     def __init__(self, cls: type) -> None:
         self.cls = cls
         self.ids: dict[tuple[int, ...], int] = {}
         self.elements: list[Element] = []
-        self.start = array("i")
-        self.stop = array("i")
-        self.covers = array("i")
+        self.covers: list[tuple[int, ...] | None] = []
         self._lock = threading.Lock()
 
     def _add(self, images: tuple[int, ...], element: Element | None = None) -> int:
@@ -171,8 +202,7 @@ class _CoverGraph:
         if gid is None:
             gid = len(self.elements)
             self.elements.append(self.cls(images) if element is None else element)
-            self.start.append(-1)
-            self.stop.append(-1)
+            self.covers.append(None)
             self.ids[images] = gid
         return gid
 
@@ -180,17 +210,15 @@ class _CoverGraph:
         with self._lock:
             return self._add(x.images, x)
 
-    def expand(self, gid: int) -> int:
-        """Offset of node gid's covers in ``covers``, computed on first call."""
-        with self._lock:
-            if self.start[gid] < 0:
-                first = len(self.covers)
-                images = self.elements[gid].images
-                self.covers.extend([self._add(y) for y in self.cls.down_cover_images(images)])
-                # stop before start: build_interval tests start without the lock
-                self.stop[gid] = len(self.covers)
-                self.start[gid] = first
-            return self.start[gid]
+    def expand(self, gids: list[int]) -> None:
+        """Compute, under one hold of the lock, the covers of the nodes of
+        gids that have none yet."""
+        if None in map(self.covers.__getitem__, gids):
+            with self._lock:
+                for gid in gids:
+                    if self.covers[gid] is None:
+                        ys = self.cls.down_cover_images(self.elements[gid].images)
+                        self.covers[gid] = tuple([self._add(y) for y in ys])
 
 
 # one per element class, so Permutation and SignedPermutation never share ids
@@ -198,60 +226,34 @@ _COVER_GRAPHS: dict[type, _CoverGraph] = {}
 
 
 def build_interval(w: Element) -> BruhatInterval:
-    """Downward BFS from w along cover moves; every u <= w is reached because
-    Bruhat order is graded with saturated chains.
+    """Downward BFS from w along cover moves, one layer per rank.  Every
+    u <= w is reached because Bruhat order is graded with saturated chains,
+    and the covers of rank r all have rank r - 1, so each layer is the
+    covers of the one before, first occurrences kept in order.
 
     The search runs on the integer ids of the class's cover graph, so each
     element's covers are computed once per process however many intervals
-    contain it; the graph grows only by the elements searches reach, with no
-    size limit.  The lists of the returned interval are its own; its
-    elements are the graph's shared frozen objects.
+    contain it; the graph grows only by the elements searches reach.  The
+    lists an interval builds are its own; its elements are the graph's.
     """
-    graph = _COVER_GRAPHS.get(type(w))
-    if graph is None:
-        graph = _COVER_GRAPHS.setdefault(type(w), _CoverGraph(type(w)))
-    start, stop, covers, expand = graph.start, graph.stop, graph.covers, graph.expand
-    gids = [graph.node(w)]
-    local = {gids[0]: 0}  # graph id -> interval id
-    rank = [w.length()]
-    down: list[list[int]] = [[]]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for xid in frontier:
-            gx = gids[xid]
-            first = start[gx]
-            if first < 0:
-                first = expand(gx)
-            r = rank[xid] - 1
-            xdown = down[xid]
-            for gy in covers[first : stop[gx]]:
-                yid = local.get(gy)
-                if yid is None:
-                    yid = len(gids)
-                    local[gy] = yid
-                    gids.append(gy)
-                    rank.append(r)
-                    down.append([])
-                    nxt.append(yid)
-                xdown.append(yid)
-        frontier = nxt
-    del local
-    nodes = graph.elements
-    elements = [nodes[g] for g in gids]
-    bottoms = [i for i, r in enumerate(rank) if r == 0]
-    if len(bottoms) != 1 or not elements[bottoms[0]].is_identity():
+    graph = _COVER_GRAPHS.get(type(w)) or _COVER_GRAPHS.setdefault(type(w), _CoverGraph(type(w)))
+    covers = graph.covers.__getitem__
+    gids: list[int] = []
+    offsets = [0]
+    layer = [graph.node(w)]
+    while layer:
+        gids += layer
+        offsets.append(len(gids))
+        graph.expand(layer)
+        layer = list(dict.fromkeys(chain.from_iterable(map(covers, layer))))
+    bottom = graph.elements[gids[-1]]
+    if len(offsets) != w.length() + 2 or offsets[-2] != len(gids) - 1 or not bottom.is_identity():
         raise AssertionError("interval lacks a unique identity minimum")
-    for ys in down:
-        ys.sort()
-    return BruhatInterval(w, elements, rank, down)
+    return BruhatInterval(w, graph, gids, offsets)
 
 
 def rank_profile(interval: BruhatInterval) -> tuple[int, ...]:
-    counts = [0] * (interval.top_rank + 1)
-    for r in interval.rank:
-        counts[r] += 1
-    return tuple(counts)
+    return tuple(b - a for a, b in pairwise(interval.offsets))[::-1]
 
 
 def degree_extremes(interval: BruhatInterval) -> tuple[int, int]:
@@ -261,10 +263,8 @@ def degree_extremes(interval: BruhatInterval) -> tuple[int, int]:
     if top_rank < 2:
         raise ValueError("degree extremes need an interval of rank >= 2")
     # every atom lies under some element of rank 2, so each is counted
-    atom_up = Counter(y for x in interval.ids_at_rank(2) for y in interval.down[x])
-    max_atom_up = max(atom_up.values())
-    max_coatom_down = max(len(interval.down[i]) for i in interval.ids_at_rank(top_rank - 1))
-    return (max_atom_up, max_coatom_down)
+    atom_up = Counter(chain.from_iterable(interval.down_at_rank(2)))
+    return (max(atom_up.values()), max(map(len, interval.down_at_rank(top_rank - 1))))
 
 
 # -- parabolic machinery ----------------------------------------------------------

@@ -186,10 +186,6 @@ def simple_transposition(n: int, i: int) -> Permutation:
     return identity(n).times_simple_right(i)
 
 
-def longest_permutation(n: int) -> Permutation:
-    return Permutation(tuple(range(n, 0, -1)))
-
-
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic one-line order."""
     for im in itertools.permutations(range(1, n + 1)):

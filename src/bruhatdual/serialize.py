@@ -61,14 +61,10 @@ def interval_to_dict(interval: BruhatInterval) -> dict:
 
 
 def interval_to_dot(interval: BruhatInterval) -> str:
+    names = [x.one_line() for x in interval.elements]
     lines = ["digraph interval {", f'  label="[e, {interval.top.one_line()}]";']
-    for x in interval.elements:
-        lines.append(f'  "{x.one_line()}";')
-    for x, ys in enumerate(interval.down):
-        for y in ys:
-            lines.append(
-                f'  "{interval.elements[x].one_line()}" -> "{interval.elements[y].one_line()}";'
-            )
+    lines += [f'  "{name}";' for name in names]
+    lines += [f'  "{names[x]}" -> "{names[y]}";' for x, ys in enumerate(interval.down) for y in ys]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -89,6 +89,36 @@ def brute_rank_profile(top: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(profile)
 
 
+def gasharov_rank_profile(w: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Rank generating function of [e, w] for smooth w, by Gasharov's
+    factorization (Gasharov 1998, JCTA 83); None for singular w.
+
+    When n sits at position d of w, or of w^{-1} (which has the same rank
+    generating function), with every later entry smaller than the one
+    before, deleting it divides the polynomial by [n - d + 1]_q.  A smooth w
+    always admits one of the two deletions.  A deletion keeps every
+    occurrence of 3412 and 4231, whose top value is followed by a rise, so
+    singular w get stuck.
+    """
+    poly = [1]
+    while len(w) > 1:
+        n = len(w)
+        inverse = tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1]))
+        for v in (w, inverse):
+            tail = v[v.index(n):]
+            if all(a > b for a, b in zip(tail, tail[1:])):
+                break
+        else:
+            return None
+        factor = len(tail)  # [n - d + 1]_q = 1 + q + ... + q^(n - d)
+        poly = [
+            sum(poly[i - j] for j in range(factor) if 0 <= i - j < len(poly))
+            for i in range(len(poly) + factor - 1)
+        ]
+        w = tuple(x for x in v if x != n)
+    return tuple(poly)
+
+
 def brute_leq(u: tuple[int, ...], w: tuple[int, ...]) -> bool:
     return u in brute_interval(w)
 

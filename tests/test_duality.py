@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import longest_permutation
 from oracle_utils import all_one_lines, brute_avoids_all
 
 from bruhatdual.duality import (
@@ -26,7 +27,7 @@ from bruhatdual.intervals import (
     longest_parabolic,
     parabolic_decompose,
 )
-from bruhatdual.permutations import Permutation, identity, longest_permutation, parse_permutation
+from bruhatdual.permutations import Permutation, identity, parse_permutation
 from bruhatdual.polished import polished_decompose
 from bruhatdual.signed import CoxeterPresentation, SignedPermutation, group_elements
 

@@ -7,9 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_utils import all_one_lines, brute_interval, brute_leq, brute_rank_profile
+from conftest import longest_permutation
+from oracle_utils import (
+    SMOOTH_COUNTS,
+    SMOOTH_PATTERNS,
+    all_one_lines,
+    brute_avoids_all,
+    brute_interval,
+    brute_leq,
+    brute_rank_profile,
+    gasharov_rank_profile,
+)
 
 from bruhatdual import intervals
+from bruhatdual.duality import certify_self_dual, gamma_lower, gamma_upper
 from bruhatdual.intervals import (
     bruhat_leq,
     build_interval,
@@ -26,7 +37,6 @@ from bruhatdual.intervals import (
 from bruhatdual.permutations import (
     Permutation,
     identity,
-    longest_permutation,
     parse_permutation,
     simple_transposition,
 )
@@ -182,6 +192,27 @@ class TestInterval:
                 scan = [i for i in range(interval.size) if interval.rank[i] == k]
                 assert interval.ids_at_rank(k) == scan
 
+    @pytest.mark.parametrize(
+        "ws",
+        [
+            [Permutation(im) for im in all_one_lines(5)],
+            list(group_elements(CoxeterPresentation("B", 3))),
+        ],
+        ids=["S5", "B3"],
+    )
+    def test_rank_reads_match_down(self, ws):
+        for w in ws:
+            interval = build_interval(w)
+            ranks = range(-1, interval.top_rank + 2)
+            before = [interval.down_at_rank(k) for k in ranks]
+            ups, downs = interval.degrees()
+            assert "down" not in vars(interval)
+            down = interval.down
+            assert downs == list(map(len, down))
+            assert ups == [sum(ys.count(x) for ys in down) for x in range(interval.size)]
+            after = [interval.down_at_rank(k) for k in ranks]
+            assert before == after == [[down[i] for i in interval.ids_at_rank(k)] for k in ranks]
+
     def test_diamond_property(self):
         # every rank-2 subinterval has exactly two middle elements
         for im in all_one_lines(4):
@@ -192,6 +223,46 @@ class TestInterval:
                     for low in interval.down[mid]:
                         grandchildren[low] = grandchildren.get(low, 0) + 1
                 assert all(count == 2 for count in grandchildren.values())
+
+
+class TestLaziness:
+    """The rank layers answer the profile, level-graph and degree reads, and
+    a refutation by rank profile or by root degree colors, without building
+    the full down lists or the index."""
+
+    @pytest.mark.parametrize("text", ["3412", "4231", "34521", "4321"])
+    def test_rank_reads_leave_down_unbuilt(self, text):
+        interval = build_interval(parse_permutation(text))
+        rank_profile(interval)
+        gamma_lower(interval), gamma_upper(interval)
+        degree_extremes(interval)
+        if text != "4321":  # self-dual: the search reads the Hasse diagram
+            assert certify_self_dual(interval).kind == "refuted"
+        assert "down" not in vars(interval) and "index" not in vars(interval)
+
+    def test_size_and_ranks_need_no_elements(self):
+        interval = build_interval(parse_permutation("34521"))
+        assert (interval.size, interval.top_rank, interval.ids_at_rank(7)) == (54, 7, [0])
+        assert {"rank", "elements", "down", "index"}.isdisjoint(vars(interval))
+
+
+class TestGasharovOracle:
+    """Gasharov's factorization gives the rank profile of a smooth [e, w]
+    without enumerating covers, the one layer-size check that shares no code
+    with build_interval."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_oracle_matches_brute_closure(self, n):
+        for im in all_one_lines(n):
+            if brute_avoids_all(im, SMOOTH_PATTERNS):
+                assert gasharov_rank_profile(im) == brute_rank_profile(im)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_smooth_rank_profiles(self, n):
+        smooth = [im for im in all_one_lines(n) if gasharov_rank_profile(im) is not None]
+        assert len(smooth) == SMOOTH_COUNTS[n]
+        for im in smooth:
+            assert rank_profile(build_interval(Permutation(im))) == gasharov_rank_profile(im)
 
 
 def interval_fields(interval):

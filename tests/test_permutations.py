@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import longest_permutation
 from oracle_utils import (
     SIX_PATTERNS,
     all_one_lines,
@@ -16,7 +17,6 @@ from bruhatdual.permutations import (
     Permutation,
     contains_pattern,
     identity,
-    longest_permutation,
     parse_permutation,
 )
 

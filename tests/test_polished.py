@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import longest_permutation
 from oracle_utils import all_one_lines, brute_avoids_all
 
 from bruhatdual.diagrams import type_a_diagram, type_b_diagram
@@ -8,7 +9,7 @@ from bruhatdual.intervals import (
     longest_parabolic,
     parabolic_decompose,
 )
-from bruhatdual.permutations import Permutation, identity, longest_permutation, parse_permutation
+from bruhatdual.permutations import Permutation, identity, parse_permutation
 from bruhatdual.polished import (
     NotPolishedError,
     PatternWitnessError,

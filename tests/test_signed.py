@@ -220,7 +220,7 @@ class TestSignedPermutationOps:
 
 class TestLongestElement:
     def test_type_a_full(self):
-        from bruhatdual.permutations import longest_permutation
+        from conftest import longest_permutation
 
         assert longest_parabolic(A3.identity(), [1, 2, 3]) == longest_permutation(4)
 
