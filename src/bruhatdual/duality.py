@@ -53,17 +53,19 @@ class LevelGraph:
 
 
 def _level_graph(interval: BruhatInterval, rank: int, side: str) -> LevelGraph:
-    """The covers between ranks rank - 1 and rank, read off the down lists of
-    rank, each vertex indexed by its id less the first id of its rank."""
-    high, low = interval.ids_at_rank(rank), interval.ids_at_rank(rank - 1)
-    covers = [(i, y - low[0]) for i, ys in enumerate(interval.down_at_rank(rank)) for y in ys]
+    """The covers between ranks rank - 1 and rank, read off the cover graph at
+    the graph ids of rank, each vertex indexed by its place in its rank."""
+    graph = interval.graph
+    high, low = interval.gids_at_rank(rank), interval.gids_at_rank(rank - 1)
+    position = dict(zip(low, range(len(low))))
+    covers = [(i, position[y]) for i, g in enumerate(high) for y in graph.covers[g]]
     small, big = high, low
     if side == "lower":
         small, big, covers = low, high, [(j, i) for i, j in covers]
     return LevelGraph(
         side,
-        tuple(interval.elements[i] for i in small),
-        tuple(interval.elements[i] for i in big),
+        tuple(map(graph.elements.__getitem__, small)),
+        tuple(map(graph.elements.__getitem__, big)),
         tuple(sorted(covers)),
     )
 
@@ -161,10 +163,11 @@ def _windows(gens: frozenset[int]) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _reversal(n: int, windows: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """w_0 of a Young subgroup: the identity reversed within each window."""
-    im = list(range(1, n + 1))
-    for lo, hi in windows:
+def _reversal(n: int, gens: frozenset[int]) -> tuple[int, ...]:
+    """w_0 of the Young subgroup generated by ``gens``, 0-based: the positions
+    reversed within each window."""
+    im = list(range(n))
+    for lo, hi in _windows(gens):
         im[lo:hi] = im[lo:hi][::-1]
     return tuple(im)
 
@@ -172,26 +175,18 @@ def _reversal(n: int, windows: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
 def _split(
     x: tuple[int, ...], windows: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Right parabolic factorization x = q p across a Young subgroup: the
-    quotient part q is x sorted within each window, and p = q^{-1} x permutes
-    positions within the windows."""
-    q = list(x)
-    p = list(range(1, len(x) + 1))
+    """Right parabolic factorization x = q p across a Young subgroup, as q and
+    p^{-1}: the positions of each window sorted by value are p^{-1}, 0-based,
+    and x read in that order is q, x sorted within each window."""
+    order = list(range(len(x)))
     for lo, hi in windows:
-        values = x[lo:hi]
-        ordered = sorted(values)
-        q[lo:hi] = ordered
-        slot = {v: lo + 1 + k for k, v in enumerate(ordered)}
-        p[lo:hi] = [slot[v] for v in values]
-    return tuple(q), tuple(p)
+        order[lo:hi] = sorted(range(lo, hi), key=x.__getitem__)
+    return tuple(map(x.__getitem__, order)), tuple(order)
 
 
-def _product(factors: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Left-to-right product of one-line tuples, (a * b)(i) = a(b(i))."""
-    out = factors[-1]
-    for f in reversed(factors[:-1]):
-        out = tuple([f[j - 1] for j in out])
-    return out
+def _inverse(order: tuple[int, ...]) -> list[int]:
+    """The inverse of a 0-based permutation."""
+    return sorted(range(len(order)), key=order.__getitem__)
 
 
 class DualityMap:
@@ -201,9 +196,17 @@ class DualityMap:
 
     Type A only: every parabolic subgroup involved is then a Young subgroup,
     held as its position windows.  The right factorization across W_J sorts
-    within the windows of J, w_0(J) reverses them, and the map takes, composes
-    and returns raw one-line tuples.  It makes no Bruhat comparison:
-    duality_map checks one image, certify_self_dual a whole interval's by id.
+    within the windows of J, w_0(J) reverses them, and the map takes and
+    returns raw one-line tuples.  It factors level by level: with x = q u_k
+    split across the S windows of block k, map_k(x) = map_{k-1}(q) g_k(u_k),
+    where g_k is block k's five-factor product, one indexing pass through its
+    three constant reversals, and map_0 maps only the identity.  Both are
+    memoized, map_{k-1} on q below the top level and g_k on u_k (held as its
+    0-based inverse), in dicts this instance owns and fills from the
+    decomposition alone; a write stores the one value its key has, so
+    threads sharing an instance need no lock.  It makes no Bruhat
+    comparison: duality_map checks one image, certify_self_dual a whole
+    interval's by id.
     """
 
     def __init__(self, w: Element, decomp: PolishedDecomposition):
@@ -217,33 +220,44 @@ class DualityMap:
         n = w.n
         self.w = w
         self._identity = tuple(range(1, n + 1))
-        # u splits block by block from the right, last block first
-        self._block_windows = [_windows(b.S) for b in reversed(decomp.blocks)]
-        self._blocks = [
+        # per block, first to last: S windows, J' windows, the three w_0 as
+        # 0-based index tuples, and the memos of g_k and of map_{k-1}
+        self._levels = [
             (
+                _windows(b.S),
                 _windows(b.Jp),
-                _reversal(n, _windows(b.J)),
-                _reversal(n, _windows(b.J & b.Jp)),
-                _reversal(n, _windows(b.Jp)),
+                _reversal(n, b.J),
+                _reversal(n, b.J & b.Jp),
+                _reversal(n, b.Jp),
+                {},
+                {},
             )
             for b in decomp.blocks
         ]
 
     def __call__(self, images: tuple[int, ...]) -> tuple[int, ...]:
-        parts = []
-        rem = images
-        for windows in self._block_windows:
-            rem, part = _split(rem, windows)
-            parts.append(part)
-        if rem != self._identity:
-            raise ValueError(
-                f"decomposition does not account for {Permutation(rem)!r}: invalid for {self.w!r}"
-            )
-        factors = []
-        for (jp_windows, w0_j, w0_meet, w0_jp), ui in zip(self._blocks, reversed(parts)):
-            quotient, parabolic = _split(ui, jp_windows)
-            factors += (w0_j, quotient, w0_meet, parabolic, w0_jp)
-        return _product(factors) if factors else self._identity
+        return self._image(len(self._levels), images)
+
+    def _image(self, k: int, x: tuple[int, ...]) -> tuple[int, ...]:
+        """map_k(x), the image of x under the first k blocks' maps."""
+        if not k:
+            if x != self._identity:
+                raise ValueError(
+                    f"decomposition does not account for {Permutation(x)!r}: invalid for {self.w!r}"
+                )
+            return x
+        s_windows, jp_windows, w0_j, w0_meet, w0_jp, factors, below = self._levels[k - 1]
+        q, u_inverse = _split(x, s_windows)
+        head = below.get(q)
+        if head is None:
+            head = below[q] = self._image(k - 1, q)
+        g = factors.get(u_inverse)
+        if g is None:
+            # u = q' p' across J'; g = w_0(J) q' w_0(J and J') p' w_0(J'), 0-based
+            quotient, p_inverse = _split(_inverse(u_inverse), jp_windows)
+            p = _inverse(p_inverse)
+            g = factors[u_inverse] = tuple([w0_j[quotient[w0_meet[p[i]]]] for i in w0_jp])
+        return tuple(map(head.__getitem__, g))
 
 
 def duality_map(w: Element, decomp: PolishedDecomposition, u: Element) -> Element:

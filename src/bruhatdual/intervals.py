@@ -112,7 +112,7 @@ class BruhatInterval:
     ``graph``, and layer j, of rank top_rank - j, is the id range
     ``offsets[j]:offsets[j + 1]``.  ``rank``, ``elements``, the sorted down
     lists ``down`` and ``index`` are built on first read; ``degrees`` and
-    ``down_at_rank`` need no ``down``.  Immutable apart from those caches;
+    ``gids_at_rank`` need no ``down``.  Immutable apart from those caches;
     safe to share between threads.
     """
 
@@ -136,6 +136,9 @@ class BruhatInterval:
     def ids_at_rank(self, k: int) -> list[int]:
         return list(range(*self._bounds(k)))
 
+    def gids_at_rank(self, k: int) -> list[int]:
+        return self.gids[slice(*self._bounds(k))]
+
     @cached_property
     def rank(self) -> list[int]:
         return [k for k in range(self.top_rank, -1, -1) for _ in range(*self._bounds(k))]
@@ -146,16 +149,8 @@ class BruhatInterval:
 
     @cached_property
     def down(self) -> list[list[int]]:
-        return [ys for k in range(self.top_rank, -1, -1) for ys in self.down_at_rank(k)]
-
-    def down_at_rank(self, k: int) -> list[list[int]]:
-        """The down lists of the ids of rank k, in id order: that rank's
-        slice of ``down``, built alone while ``down`` is not."""
-        lo, hi = self._bounds(k)
-        if "down" in self.__dict__:
-            return self.down[lo:hi]
         position, covers = self._position.__getitem__, self.graph.covers
-        return [sorted(map(position, covers[g])) for g in self.gids[lo:hi]]
+        return [sorted(map(position, covers[g])) for g in self.gids]
 
     def degrees(self) -> tuple[list[int], list[int]]:
         """The up- and down-degrees of the ids, read off the cover graph."""
@@ -263,8 +258,9 @@ def degree_extremes(interval: BruhatInterval) -> tuple[int, int]:
     if top_rank < 2:
         raise ValueError("degree extremes need an interval of rank >= 2")
     # every atom lies under some element of rank 2, so each is counted
-    atom_up = Counter(chain.from_iterable(interval.down_at_rank(2)))
-    return (max(atom_up.values()), max(map(len, interval.down_at_rank(top_rank - 1))))
+    covers = interval.graph.covers
+    atom_up = Counter(chain.from_iterable(map(covers.__getitem__, interval.gids_at_rank(2))))
+    return max(atom_up.values()), max(len(covers[g]) for g in interval.gids_at_rank(top_rank - 1))
 
 
 # -- parabolic machinery ----------------------------------------------------------

@@ -1,3 +1,5 @@
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -123,6 +125,22 @@ def up_route(interval):
     return level(1, 2, "lower"), level(top - 1, top - 2, "upper"), extremes
 
 
+def full_route(interval, rank, side):
+    """The level graph between ranks rank - 1 and rank, read off the full
+    down lists and element list of the interval."""
+    high, low = interval.ids_at_rank(rank), interval.ids_at_rank(rank - 1)
+    covers = [(i, low.index(y)) for i, x in enumerate(high) for y in interval.down[x]]
+    small, big = high, low
+    if side == "lower":
+        small, big, covers = low, high, [(j, i) for i, j in covers]
+    return LevelGraph(
+        side,
+        tuple(interval.elements[i] for i in small),
+        tuple(interval.elements[i] for i in big),
+        tuple(sorted(covers)),
+    )
+
+
 def round_refine(hasse, colors):
     """1-WL reference refinement: each round joins a vertex's color with the
     sorted colors of its Hasse neighbors in its own half, interned in id
@@ -216,6 +234,20 @@ class TestLevelGraphs:
         interval = build_interval(w)
         assert graph_as_dict(gamma_graphs_direct(w)[0]) == graph_as_dict(gamma_lower(interval))
         assert graph_as_dict(gamma_graphs_direct(w)[1]) == graph_as_dict(gamma_upper(interval))
+
+    def test_two_rank_reads(self):
+        # the level graphs and degree extremes read ranks off the cover graph
+        # and build none of the interval's whole-interval lists
+        for im in all_one_lines(5):
+            w = Permutation(im)
+            if w.length() < 2:
+                continue
+            interval = build_interval(w)
+            lower, upper = gamma_lower(interval), gamma_upper(interval)
+            degree_extremes(interval)
+            assert {"elements", "_position", "down"}.isdisjoint(vars(interval))
+            assert lower == full_route(interval, 2, "lower")
+            assert upper == full_route(interval, interval.top_rank - 1, "upper")
 
     @pytest.mark.parametrize(
         "ws",
@@ -358,6 +390,62 @@ class TestDualityMap:
             for u, v in dual.items():
                 assert v == reference_dual(w, d, u)
                 assert dual[v] == u
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_one_map_per_interval_matches_reference(self, n):
+        # one compiled map shares its memos across all of [e, w]
+        for im in all_one_lines(n):
+            if not brute_avoids_all(im):
+                continue
+            w = Permutation(im)
+            d = polished_decompose(w)
+            interval = build_interval(w)
+            dual = DualityMap(w, d)
+            expected = {u: reference_dual(w, d, u) for u in interval.elements}
+            assert {u: Permutation(dual(u.images)) for u in interval.elements} == expected
+            assert certify_self_dual(interval, d).pairing == expected
+
+    def test_shared_map_across_threads(self):
+        # threads filling one map's memos side by side store the values a
+        # fresh map computes alone
+        w = parse_permutation("154973268")
+        d = polished_decompose(w)
+        ones = [u.images for u in build_interval(w).elements]
+        expected = [DualityMap(w, d)(x) for x in ones]
+        shared = DualityMap(w, d)
+        results: dict[int, list] = {}
+
+        def work(t):
+            results[t] = [shared(x) for x in ones[t::4] + ones]
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        for t in range(4):
+            assert results[t] == expected[t::4] + expected
+
+    def test_warm_map_still_rejects(self):
+        # a map whose memos hold the elements of [e, 2134], which its
+        # decomposition accounts for, still rejects a tuple it does not
+        w = parse_permutation("4321")
+        other = polished_decompose(parse_permutation("2134"))
+        dual = DualityMap(w, other)
+        for u in build_interval(parse_permutation("2134")).elements:
+            dual(u.images)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not account"):
+                dual(w.images)
+        # 3421's map permutes all of [e, 4321] but reverses not every cover
+        with pytest.raises(ValueError, match="does not induce an antiautomorphism"):
+            certify_self_dual(build_interval(w), polished_decompose(parse_permutation("3421")))
 
     def test_type_b_rejected(self):
         w = SignedPermutation((-2, 1))
