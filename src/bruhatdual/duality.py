@@ -62,12 +62,8 @@ def _level_graph(interval: BruhatInterval, rank: int, side: str) -> LevelGraph:
     small, big = high, low
     if side == "lower":
         small, big, covers = low, high, [(j, i) for i, j in covers]
-    return LevelGraph(
-        side,
-        tuple(map(graph.elements.__getitem__, small)),
-        tuple(map(graph.elements.__getitem__, big)),
-        tuple(sorted(covers)),
-    )
+    small, big = tuple(graph.elements_of(small)), tuple(graph.elements_of(big))
+    return LevelGraph(side, small, big, tuple(sorted(covers)))
 
 
 def gamma_lower(interval: BruhatInterval) -> LevelGraph:
@@ -316,10 +312,13 @@ def certify_self_dual(
     With a decomposition hint, apply the explicit duality map everywhere and
     verify by id that the images lie in [e, w], form a bijection and reverse
     the covers; a hint failing any of these raises ValueError.  Without one,
-    search for an order-reversing bijection of the Hasse diagram by iterated
-    color refinement of [e, w] and its dual over their shared undirected
-    Hasse diagram, with individualization; refutation means the search
-    space is exhausted.
+    refute at the first failing check of three: a symmetric rank profile;
+    equal multisets of atom up-degrees and coatom down-degrees, the rank-1
+    slice of the third; equal multisets of (rank, up, down) colors of [e, w]
+    and its dual.  Then search for an order-reversing bijection of the Hasse
+    diagram by iterated color refinement of [e, w] and its dual over their
+    shared undirected Hasse diagram, with individualization; refutation
+    means the search space is exhausted.
     """
     if decomp_hint is not None:
         dual = DualityMap(interval.top, decomp_hint)
@@ -334,7 +333,8 @@ def certify_self_dual(
     if profile != profile[::-1]:
         return DualityCertificate("refuted", None, f"rank profile {profile} is asymmetric")
 
-    colors = _initial_colors(interval)
+    atom_up, coatom_down = interval.atom_coatom_degrees()
+    colors = _initial_colors(interval) if sorted(atom_up) == sorted(coatom_down) else None
     if colors is not None:
         hasse = _hasse_diagram(interval)
         colors = _refine_to_stable(hasse, colors)
@@ -417,9 +417,9 @@ def _initial_colors(interval: BruhatInterval) -> Optional[list[int]]:
     """(rank, up-degree, down-degree) colors of [e, w] and its dual, a dual
     vertex taking its rank in the dual and its degrees swapped; None when the
     two halves' multisets differ, which needs no refinement and no down lists."""
-    size = interval.size
+    size, top_rank = interval.size, interval.top_rank
     ups, downs = interval.degrees()
-    ranks = interval.rank + [interval.top_rank - r for r in interval.rank]
+    ranks = interval.rank + [top_rank - r for r in interval.rank]
     table: dict[tuple, int] = {}
     colors = [table.setdefault(key, len(table)) for key in zip(ranks, ups + downs, downs + ups)]
     return colors if Counter(colors[:size]) == Counter(colors[size:]) else None

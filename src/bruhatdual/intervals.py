@@ -9,11 +9,11 @@ tuple to the tuples it covers, the one cover enumeration of its class.
 
 build_interval is the only constructor of BruhatInterval.  It reads covers
 from one cover graph per element class, kept for the life of the process:
-each element is interned to an integer id, wrapped once, and has its covers
-computed once, the first time any interval reaches it.  The graph never
-enumerates a group up front, so its memory is bounded by the distinct
-elements the process has touched.  An interval holds graph ids in rank
-layers and builds its elements, ranks and sorted down lists on first read.
+each one-line tuple is interned to an integer id and has its covers computed
+once, the first time any interval reaches it, and is wrapped on first read.
+The graph never enumerates a group up front, so its memory is bounded by the
+distinct elements the process has touched.  An interval holds graph ids in
+rank layers and builds its elements, ranks and sorted down lists on first read.
 """
 
 from __future__ import annotations
@@ -111,9 +111,9 @@ class BruhatInterval:
     id i, in BFS discovery order from the top, is node ``gids[i]`` of
     ``graph``, and layer j, of rank top_rank - j, is the id range
     ``offsets[j]:offsets[j + 1]``.  ``rank``, ``elements``, the sorted down
-    lists ``down`` and ``index`` are built on first read; ``degrees`` and
-    ``gids_at_rank`` need no ``down``.  Immutable apart from those caches;
-    safe to share between threads.
+    lists ``down`` and ``index`` are built on first read; ``degrees``,
+    ``atom_coatom_degrees`` and ``gids_at_rank`` need no ``down``.
+    Immutable apart from those caches; safe to share between threads.
     """
 
     top: Element
@@ -145,7 +145,7 @@ class BruhatInterval:
 
     @cached_property
     def elements(self) -> list[Element]:
-        return list(map(self.graph.elements.__getitem__, self.gids))
+        return self.graph.elements_of(self.gids)
 
     @cached_property
     def down(self) -> list[list[int]]:
@@ -157,6 +157,12 @@ class BruhatInterval:
         covers = list(map(self.graph.covers.__getitem__, self.gids))
         up = Counter(chain.from_iterable(covers))
         return [up[g] for g in self.gids], list(map(len, covers))
+
+    def atom_coatom_degrees(self) -> tuple[list[int], list[int]]:
+        """The atoms' up-degrees and the coatoms' down-degrees, off the cover graph."""
+        covers, coatoms = self.graph.covers, self.gids_at_rank(self.top_rank - 1)
+        up = Counter(chain.from_iterable(map(covers.__getitem__, self.gids_at_rank(2))))
+        return [up[g] for g in self.gids_at_rank(1)], [len(covers[g]) for g in coatoms]
 
     @cached_property
     def index(self) -> dict[Element, int]:
@@ -177,43 +183,55 @@ class BruhatInterval:
 class _CoverGraph:
     """The Bruhat cover graph of one element class, grown on demand.
 
-    A one-line tuple gets the next integer id the first time it is met and
-    is wrapped, and so validated, once through the class constructor.  A
-    node's covers come from ``cls.down_cover_images`` on its first expansion
-    and are kept as the tuple of their ids ``covers[g]``, None until then.
-    Growth takes a lock, so threads may build intervals side by side.
+    A one-line tuple gets the next integer id g the first time it is met and
+    is kept as ``images[g]``.  ``elements[g]``, its element wrapped (and so
+    validated) through the class constructor on first read, and ``covers[g]``,
+    the ids of ``cls.down_cover_images`` on first expansion, are None until
+    then.  Growth and wrapping take a lock, so threads may share the graph.
     """
 
     def __init__(self, cls: type) -> None:
         self.cls = cls
         self.ids: dict[tuple[int, ...], int] = {}
-        self.elements: list[Element] = []
+        self.images: list[tuple[int, ...]] = []
+        self.elements: list[Element | None] = []
         self.covers: list[tuple[int, ...] | None] = []
         self._lock = threading.Lock()
 
-    def _add(self, images: tuple[int, ...], element: Element | None = None) -> int:
-        # caller holds the lock
-        gid = self.ids.get(images)
-        if gid is None:
-            gid = len(self.elements)
-            self.elements.append(self.cls(images) if element is None else element)
-            self.covers.append(None)
-            self.ids[images] = gid
-        return gid
-
-    def node(self, x: Element) -> int:
+    def node(self, images: tuple[int, ...]) -> int:
         with self._lock:
-            return self._add(x.images, x)
+            if images not in self.ids:
+                self.ids[images] = len(self.images)
+                self.images.append(images)
+                self.elements.append(None)
+                self.covers.append(None)
+            return self.ids[images]
 
     def expand(self, gids: list[int]) -> None:
-        """Compute, under one hold of the lock, the covers of the nodes of
-        gids that have none yet."""
-        if None in map(self.covers.__getitem__, gids):
+        """Compute, under one hold of the lock, the covers of the nodes of gids
+        that have none yet; a new node has its slots before a cover names it."""
+        covers = self.covers
+        if None in map(covers.__getitem__, gids):
+            with self._lock:
+                ids, images, elements = self.ids, self.images, self.elements
+                for gid in gids:
+                    if covers[gid] is None:
+                        ys = self.cls.down_cover_images(images[gid])
+                        found = tuple([ids.setdefault(y, len(ids)) for y in ys])
+                        images += [y for y, c in zip(ys, found) if c >= len(images)]
+                        elements += [None] * (len(images) - len(elements))
+                        covers += [None] * (len(images) - len(covers))
+                        covers[gid] = found
+
+    def elements_of(self, gids: list[int]) -> list[Element]:
+        """The elements of gids, wrapping under one hold of the lock those not yet read."""
+        elements = self.elements
+        if None in map(elements.__getitem__, gids):
             with self._lock:
                 for gid in gids:
-                    if self.covers[gid] is None:
-                        ys = self.cls.down_cover_images(self.elements[gid].images)
-                        self.covers[gid] = tuple([self._add(y) for y in ys])
+                    if elements[gid] is None:
+                        elements[gid] = self.cls(self.images[gid])
+        return list(map(elements.__getitem__, gids))
 
 
 # one per element class, so Permutation and SignedPermutation never share ids
@@ -235,13 +253,13 @@ def build_interval(w: Element) -> BruhatInterval:
     covers = graph.covers.__getitem__
     gids: list[int] = []
     offsets = [0]
-    layer = [graph.node(w)]
+    layer = [graph.node(w.images)]
     while layer:
         gids += layer
         offsets.append(len(gids))
         graph.expand(layer)
         layer = list(dict.fromkeys(chain.from_iterable(map(covers, layer))))
-    bottom = graph.elements[gids[-1]]
+    bottom = graph.elements_of(gids[-1:])[0]
     if len(offsets) != w.length() + 2 or offsets[-2] != len(gids) - 1 or not bottom.is_identity():
         raise AssertionError("interval lacks a unique identity minimum")
     return BruhatInterval(w, graph, gids, offsets)
@@ -254,13 +272,10 @@ def rank_profile(interval: BruhatInterval) -> tuple[int, ...]:
 def degree_extremes(interval: BruhatInterval) -> tuple[int, int]:
     """(max up-degree over atoms, max down-degree over coatoms), the two cover
     statistics compared by the top-heaviness theorem."""
-    top_rank = interval.top_rank
-    if top_rank < 2:
+    if interval.top_rank < 2:
         raise ValueError("degree extremes need an interval of rank >= 2")
-    # every atom lies under some element of rank 2, so each is counted
-    covers = interval.graph.covers
-    atom_up = Counter(chain.from_iterable(map(covers.__getitem__, interval.gids_at_rank(2))))
-    return max(atom_up.values()), max(len(covers[g]) for g in interval.gids_at_rank(top_rank - 1))
+    atom_up, coatom_down = interval.atom_coatom_degrees()
+    return max(atom_up), max(coatom_down)
 
 
 # -- parabolic machinery ----------------------------------------------------------

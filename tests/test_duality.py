@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import longest_permutation
-from oracle_utils import all_one_lines, brute_avoids_all
+from oracle_utils import SMOOTH_PATTERNS, all_one_lines, brute_avoids_all
 
 from bruhatdual.duality import (
     DualityMap,
@@ -469,6 +469,44 @@ class TestCertify:
     def test_refinement_trace(self, text, trace):
         cert = certify_self_dual(build_interval(parse_permutation(text)))
         assert cert.refinement_trace == trace
+
+    @pytest.mark.parametrize(
+        "ws",
+        [
+            [Permutation(im) for n in range(1, 7) for im in all_one_lines(n)],
+            list(group_elements(CoxeterPresentation("B", 3))),
+        ],
+        ids=["S1-6", "B3"],
+    )
+    def test_atoms_check_within_root_colors(self, ws):
+        # the atoms' up-degrees against the coatoms' down-degrees are the
+        # rank-1 slice of the root colors, so they never refute what the
+        # root colors accept
+        differ = 0
+        for w in ws:
+            interval = build_interval(w)
+            atom_up, coatom_down = interval.atom_coatom_degrees()
+            if sorted(atom_up) != sorted(coatom_down):
+                assert _initial_colors(interval) is None
+                differ += 1
+        assert differ
+
+    def test_atoms_refutation_builds_no_whole_interval_lists(self):
+        refuted = 0
+        for n in (5, 6):
+            for im in all_one_lines(n):
+                if brute_avoids_all(im) or not brute_avoids_all(im, SMOOTH_PATTERNS):
+                    continue
+                interval = build_interval(Permutation(im))
+                cert = certify_self_dual(interval)
+                assert {"down", "rank", "elements", "_position"}.isdisjoint(vars(interval))
+                assert cert.kind == "refuted"
+                assert _initial_colors(interval) is None
+                assert cert.refinement_trace == (
+                    "degree/rank color multisets of the interval and its dual differ"
+                )
+                refuted += 1
+        assert refuted == 4 + 44
 
     def test_w0_constructive(self):
         w0 = longest_permutation(4)

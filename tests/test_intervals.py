@@ -338,7 +338,62 @@ class TestCoverGraph:
         for t in range(4):
             assert results[t] == expected[t:] + expected[:t]
         graph = intervals._COVER_GRAPHS[Permutation]
-        assert graph.ids == {x.images: g for g, x in enumerate(graph.elements)}
+        assert graph.ids == {im: g for g, im in enumerate(graph.images)}
+        assert len(graph.elements) == len(graph.covers) == len(graph.images)
+        assert all(x is None or x.images == graph.images[g] for g, x in enumerate(graph.elements))
+
+    def test_wraps_only_what_is_read(self, monkeypatch):
+        monkeypatch.setattr(intervals, "_COVER_GRAPHS", {})
+        interval = build_interval(longest_permutation(5))
+        graph = intervals._COVER_GRAPHS[Permutation]
+
+        def wrapped():
+            return {g for g, x in enumerate(graph.elements) if x is not None}
+
+        assert len(graph.images) == 120
+        assert wrapped() == {interval.gids[-1]}  # the identity check reads the bottom
+        gamma_lower(interval)
+        read = {interval.gids[-1], *interval.gids_at_rank(1), *interval.gids_at_rank(2)}
+        assert wrapped() == read
+        assert interval.elements == [Permutation(graph.images[g]) for g in interval.gids]
+        assert wrapped() == set(range(120))
+
+    def test_shared_nodes_share_wrappers(self, monkeypatch):
+        monkeypatch.setattr(intervals, "_COVER_GRAPHS", {})
+        small = build_interval(parse_permutation("34521"))
+        big = build_interval(longest_permutation(5))
+        assert len(small.elements) < len(big.elements)
+        assert {id(x) for x in small.elements} <= {id(x) for x in big.elements}
+        again = build_interval(parse_permutation("34521"))
+        assert all(x is y for x, y in zip(again.elements, small.elements, strict=True))
+
+    def test_concurrent_reads(self, monkeypatch):
+        ws = [Permutation(im) for im in random.Random(7).sample(list(all_one_lines(6)), 12)]
+        monkeypatch.setattr(intervals, "_COVER_GRAPHS", {})
+        for w in ws:
+            build_interval(w)  # grow the graph, wrapping only the bottoms
+        results: dict[int, list] = {}
+
+        def work(t):
+            results[t] = [build_interval(w).elements for w in ws[t:] + ws[:t]]
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        expected = [reference_interval(w)[0] for w in ws]
+        for t in range(4):
+            lists = results[t][len(ws) - t :] + results[t][: len(ws) - t]
+            assert lists == expected
+            for mine, first in zip(lists, results[0], strict=True):
+                assert all(x is y for x, y in zip(mine, first, strict=True))
 
 
 class TestDegreeExtremes:
