@@ -39,7 +39,7 @@ def inversions(w):
 
 def main():
     print("n   total  smooth  six-avoiding")
-    for n in range(1, 8):
+    for n in range(1, 10):
         total = smooth = six = 0
         for w in permutations(range(1, n + 1)):
             total += 1

@@ -32,12 +32,13 @@ MAX_INTERVAL_DEGREE = 9
 
 
 def _parse(perm_text: str, builds_interval: bool) -> Permutation:
-    """The permutation in PERM_TEXT.  A command that builds [e, w] takes
-    degrees up to MAX_INTERVAL_DEGREE; a larger one is a usage error."""
+    """The permutation in PERM_TEXT; malformed text is a usage error.  A
+    command that builds [e, w] takes degrees up to MAX_INTERVAL_DEGREE; a
+    larger one is a usage error too."""
     try:
         w = parse_permutation(perm_text)
     except ParseError as exc:
-        raise click.ClickException(str(exc)) from exc
+        raise click.BadParameter(str(exc), param_hint="PERM_TEXT") from exc
     if builds_interval and w.n > MAX_INTERVAL_DEGREE:
         raise click.BadParameter(
             f"degree {w.n} is above {MAX_INTERVAL_DEGREE}, the largest for which [e, w] is built",

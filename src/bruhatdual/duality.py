@@ -12,7 +12,7 @@ The halves' color multisets are compared once, on the stable partition.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .intervals import BruhatInterval, bruhat_leq, rank_profile
@@ -62,7 +62,7 @@ def _level_graph(interval: BruhatInterval, rank: int, side: str) -> LevelGraph:
     small, big = high, low
     if side == "lower":
         small, big, covers = low, high, [(j, i) for i, j in covers]
-    small, big = tuple(graph.elements_of(small)), tuple(graph.elements_of(big))
+    small, big = (tuple(map(graph.cls, map(graph.images.__getitem__, gs))) for gs in (small, big))
     return LevelGraph(side, small, big, tuple(sorted(covers)))
 
 
@@ -278,17 +278,28 @@ def duality_map(w: Element, decomp: PolishedDecomposition, u: Element) -> Elemen
 
 @dataclass(frozen=True)
 class DualityCertificate:
-    """Outcome of a self-duality check: `pairing` is an order-reversing
-    bijection when kind is not 'refuted'; otherwise `refinement_trace`
-    summarizes the invariant that rules every pairing out."""
+    """Outcome of a self-duality check on ``interval``.  When kind is not
+    'refuted', ``image`` maps each interval id x to image[x] under an
+    order-reversing bijection, and ``pairing`` builds that bijection on
+    elements each time it is read; otherwise ``image`` and ``pairing`` are
+    None and ``refinement_trace`` summarizes the invariant that rules every
+    pairing out."""
 
     kind: str  # "constructive-map" | "explicit-bijection" | "refuted"
-    pairing: Optional[dict[Element, Element]]
     refinement_trace: Optional[str]
+    interval: BruhatInterval = field(repr=False)
+    image: Optional[list[int]]
 
     @property
     def is_self_dual(self) -> bool:
         return self.kind != "refuted"
+
+    @property
+    def pairing(self) -> Optional[dict[Element, Element]]:
+        if self.image is None:
+            return None
+        elements = self.interval.elements
+        return {x: elements[y] for x, y in zip(elements, self.image)}
 
 
 def _reverses_covers(interval: BruhatInterval, image: list[int]) -> bool:
@@ -322,27 +333,25 @@ def certify_self_dual(
     """
     if decomp_hint is not None:
         dual = DualityMap(interval.top, decomp_hint)
-        elements = interval.elements
-        image = interval.ids_of(dual(x.images) for x in elements)
+        image = interval.ids_of(map(dual, map(interval.graph.images.__getitem__, interval.gids)))
         if -1 in image or len(set(image)) != interval.size or not _reverses_covers(interval, image):
             raise ValueError("decomposition hint does not induce an antiautomorphism")
-        pairing = {x: elements[y] for x, y in zip(elements, image)}
-        return DualityCertificate("constructive-map", pairing, None)
+        return DualityCertificate("constructive-map", None, interval, image)
 
     profile = rank_profile(interval)
     if profile != profile[::-1]:
-        return DualityCertificate("refuted", None, f"rank profile {profile} is asymmetric")
+        trace = f"rank profile {profile} is asymmetric"
+        return DualityCertificate("refuted", trace, interval, None)
 
     atom_up, coatom_down = interval.atom_coatom_degrees()
     colors = _initial_colors(interval) if sorted(atom_up) == sorted(coatom_down) else None
     if colors is not None:
         hasse = _hasse_diagram(interval)
         colors = _refine_to_stable(hasse, colors)
-        mapping = _search_antiautomorphism(interval, hasse, colors)
-        if mapping is not None:
-            pairing = {interval.elements[x]: interval.elements[y] for x, y in enumerate(mapping)}
-            return DualityCertificate("explicit-bijection", pairing, None)
-    return DualityCertificate("refuted", None, _refinement_summary(colors))
+        image = _search_antiautomorphism(interval, hasse, colors)
+        if image is not None:
+            return DualityCertificate("explicit-bijection", None, interval, image)
+    return DualityCertificate("refuted", _refinement_summary(colors), interval, None)
 
 
 def _hasse_diagram(interval: BruhatInterval) -> list[list[int]]:

@@ -8,12 +8,13 @@ each class has a static down_cover_images(images) that maps a raw one-line
 tuple to the tuples it covers, the one cover enumeration of its class.
 
 build_interval is the only constructor of BruhatInterval.  It reads covers
-from one cover graph per element class, kept for the life of the process:
-each one-line tuple is interned to an integer id and has its covers computed
-once, the first time any interval reaches it, and is wrapped on first read.
-The graph never enumerates a group up front, so its memory is bounded by the
-distinct elements the process has touched.  An interval holds graph ids in
-rank layers and builds its elements, ranks and sorted down lists on first read.
+from one cover graph per element class, kept for the life of the process and
+closed downward: each one-line tuple is interned to an integer id, and the
+first interval to reach it computes its covers and those of every new node
+below it, once.  The graph holds tuples and ids only and never enumerates a
+group up front, so its memory is bounded by the distinct elements the process
+has touched.  An interval holds graph ids in rank layers and builds its
+element objects, ranks and sorted down lists on first read.
 """
 
 from __future__ import annotations
@@ -110,10 +111,12 @@ class BruhatInterval:
     """The lower interval [e, w] as rank layers of its class's cover graph:
     id i, in BFS discovery order from the top, is node ``gids[i]`` of
     ``graph``, and layer j, of rank top_rank - j, is the id range
-    ``offsets[j]:offsets[j + 1]``.  ``rank``, ``elements``, the sorted down
-    lists ``down`` and ``index`` are built on first read; ``degrees``,
-    ``atom_coatom_degrees`` and ``gids_at_rank`` need no ``down``.
-    Immutable apart from those caches; safe to share between threads.
+    ``offsets[j]:offsets[j + 1]``.  ``rank``, the sorted down lists
+    ``down``, ``index`` and ``elements``, the one place its ids become
+    element objects (through the class constructor, which validates them),
+    are built on first read; ``degrees``, ``atom_coatom_degrees`` and
+    ``gids_at_rank`` need no ``down``.  Immutable apart from those caches;
+    safe to share between threads.
     """
 
     top: Element
@@ -145,7 +148,7 @@ class BruhatInterval:
 
     @cached_property
     def elements(self) -> list[Element]:
-        return self.graph.elements_of(self.gids)
+        return list(map(self.graph.cls, map(self.graph.images.__getitem__, self.gids)))
 
     @cached_property
     def down(self) -> list[list[int]]:
@@ -181,57 +184,40 @@ class BruhatInterval:
 
 
 class _CoverGraph:
-    """The Bruhat cover graph of one element class, grown on demand.
+    """The Bruhat cover graph of one element class, grown on demand and kept
+    closed downward: every id has its covers.
 
     A one-line tuple gets the next integer id g the first time it is met and
-    is kept as ``images[g]``.  ``elements[g]``, its element wrapped (and so
-    validated) through the class constructor on first read, and ``covers[g]``,
-    the ids of ``cls.down_cover_images`` on first expansion, are None until
-    then.  Growth and wrapping take a lock, so threads may share the graph.
+    is kept as ``images[g]``; ``covers[g]`` is the tuple of ids of
+    ``cls.down_cover_images(images[g])``.  The graph holds no element
+    objects.  Growth takes the lock; reads of ``covers`` do not need it,
+    because the lists only grow and a build reads only ids below a top its
+    own ``close_below`` has closed.
     """
 
     def __init__(self, cls: type) -> None:
         self.cls = cls
         self.ids: dict[tuple[int, ...], int] = {}
         self.images: list[tuple[int, ...]] = []
-        self.elements: list[Element | None] = []
-        self.covers: list[tuple[int, ...] | None] = []
+        self.covers: list[tuple[int, ...]] = []
         self._lock = threading.Lock()
 
-    def node(self, images: tuple[int, ...]) -> int:
+    def close_below(self, top: tuple[int, ...]) -> int:
+        """Intern the one-line tuple top and return its id.  Under one hold
+        of the lock, compute in id order the covers of every node that has
+        none: all lie below top, since every other node was closed below
+        when the call that met it returned."""
         with self._lock:
-            if images not in self.ids:
-                self.ids[images] = len(self.images)
-                self.images.append(images)
-                self.elements.append(None)
-                self.covers.append(None)
-            return self.ids[images]
-
-    def expand(self, gids: list[int]) -> None:
-        """Compute, under one hold of the lock, the covers of the nodes of gids
-        that have none yet; a new node has its slots before a cover names it."""
-        covers = self.covers
-        if None in map(covers.__getitem__, gids):
-            with self._lock:
-                ids, images, elements = self.ids, self.images, self.elements
-                for gid in gids:
-                    if covers[gid] is None:
-                        ys = self.cls.down_cover_images(images[gid])
-                        found = tuple([ids.setdefault(y, len(ids)) for y in ys])
-                        images += [y for y, c in zip(ys, found) if c >= len(images)]
-                        elements += [None] * (len(images) - len(elements))
-                        covers += [None] * (len(images) - len(covers))
-                        covers[gid] = found
-
-    def elements_of(self, gids: list[int]) -> list[Element]:
-        """The elements of gids, wrapping under one hold of the lock those not yet read."""
-        elements = self.elements
-        if None in map(elements.__getitem__, gids):
-            with self._lock:
-                for gid in gids:
-                    if elements[gid] is None:
-                        elements[gid] = self.cls(self.images[gid])
-        return list(map(elements.__getitem__, gids))
+            ids, images, covers = self.ids, self.images, self.covers
+            gid = ids.setdefault(top, len(ids))
+            if gid == len(images):
+                images.append(top)
+            while len(covers) < len(images):
+                ys = self.cls.down_cover_images(images[len(covers)])
+                found = tuple([ids.setdefault(y, len(ids)) for y in ys])
+                images += [y for y, c in zip(ys, found) if c >= len(images)]
+                covers.append(found)
+            return gid
 
 
 # one per element class, so Permutation and SignedPermutation never share ids
@@ -244,23 +230,22 @@ def build_interval(w: Element) -> BruhatInterval:
     and the covers of rank r all have rank r - 1, so each layer is the
     covers of the one before, first occurrences kept in order.
 
-    The search runs on the integer ids of the class's cover graph, so each
-    element's covers are computed once per process however many intervals
-    contain it; the graph grows only by the elements searches reach.  The
-    lists an interval builds are its own; its elements are the graph's.
+    The search runs on the integer ids of the class's cover graph, closed
+    below w first, so each element's covers are computed once per process
+    however many intervals contain it; the graph grows only by the elements
+    below some w built.  The lists an interval builds are its own.
     """
     graph = _COVER_GRAPHS.get(type(w)) or _COVER_GRAPHS.setdefault(type(w), _CoverGraph(type(w)))
     covers = graph.covers.__getitem__
     gids: list[int] = []
     offsets = [0]
-    layer = [graph.node(w.images)]
+    layer = [graph.close_below(w.images)]
     while layer:
         gids += layer
         offsets.append(len(gids))
-        graph.expand(layer)
         layer = list(dict.fromkeys(chain.from_iterable(map(covers, layer))))
-    bottom = graph.elements_of(gids[-1:])[0]
-    if len(offsets) != w.length() + 2 or offsets[-2] != len(gids) - 1 or not bottom.is_identity():
+    bottom_is_identity = graph.images[gids[-1]] == w.identity_like().images
+    if len(offsets) != w.length() + 2 or offsets[-2] != len(gids) - 1 or not bottom_is_identity:
         raise AssertionError("interval lacks a unique identity minimum")
     return BruhatInterval(w, graph, gids, offsets)
 

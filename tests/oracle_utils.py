@@ -9,10 +9,10 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-# frozen regression values, computed by scripts/census_bruteforce.py before
-# the package was written
-SMOOTH_COUNTS = {1: 1, 2: 2, 3: 6, 4: 22, 5: 88, 6: 366, 7: 1552}
-SIX_AVOIDING_COUNTS = {1: 1, 2: 2, 3: 6, 4: 22, 5: 84, 6: 322, 7: 1234}
+# frozen regression values, computed by scripts/census_bruteforce.py (n <= 7
+# before the package was written); the smooth counts are OEIS A032351
+SMOOTH_COUNTS = {1: 1, 2: 2, 3: 6, 4: 22, 5: 88, 6: 366, 7: 1552, 8: 6652, 9: 28696}
+SIX_AVOIDING_COUNTS = {1: 1, 2: 2, 3: 6, 4: 22, 5: 84, 6: 322, 7: 1234, 8: 4728, 9: 18114}
 
 SMOOTH_PATTERNS = ((3, 4, 1, 2), (4, 2, 3, 1))
 SIX_PATTERNS = SMOOTH_PATTERNS + (

@@ -52,8 +52,11 @@ class TestAnalyze:
         assert report["degree_extremes"] is None
 
     def test_parse_error_exit_code(self, runner):
-        result = runner.invoke(main, ["analyze", "11"])
-        assert result.exit_code != 0
+        # malformed PERM_TEXT is a usage error, like every other bad argument
+        for text in ("11", "", "1,,2", "12a", "1234567890"):
+            result = runner.invoke(main, ["analyze", text])
+            assert result.exit_code == 2, (text, result.output)
+            assert "PERM_TEXT" in result.output
 
 
 class TestVerifyCommands:
@@ -228,7 +231,7 @@ class TestExport:
 
     def test_decomposition_rejects_pattern(self, runner):
         result = runner.invoke(main, ["export", "34521", "decomposition"])
-        assert result.exit_code != 0
+        assert result.exit_code == 1
         assert "34521" in result.stderr
 
     @pytest.mark.parametrize("perm", ["4321", "34521"])
@@ -246,7 +249,7 @@ class TestExport:
 
     def test_gamma_rejects_short(self, runner):
         result = runner.invoke(main, ["export", "21", "gamma-lower"])
-        assert result.exit_code != 0
+        assert result.exit_code == 1
 
     def test_output_file(self, runner, tmp_path):
         out = tmp_path / "g.json"

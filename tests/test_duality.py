@@ -560,6 +560,21 @@ class TestCertify:
             if brute is not None:
                 assert cert.is_self_dual == brute
 
+    def test_pairing_is_built_from_the_stored_image(self):
+        for text in ("4321", "34512", "45231", "34521", "3412"):
+            w = parse_permutation(text)
+            interval = build_interval(w)
+            certs = [certify_self_dual(interval)]
+            if brute_avoids_all(w.images):
+                certs.append(certify_self_dual(interval, polished_decompose(w)))
+            for cert in certs:
+                if cert.kind == "refuted":
+                    assert cert.image is None and cert.pairing is None
+                    continue
+                assert sorted(cert.image) == list(range(interval.size))
+                elements = interval.elements
+                assert cert.pairing == {elements[x]: elements[y] for x, y in enumerate(cert.image)}
+
     def test_pairing_reverses_covers_when_found(self):
         for text in ("4321", "34512", "45231"):
             w = parse_permutation(text)

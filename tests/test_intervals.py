@@ -19,8 +19,9 @@ from oracle_utils import (
     gasharov_rank_profile,
 )
 
-from bruhatdual import intervals
+from bruhatdual import harness, intervals
 from bruhatdual.duality import certify_self_dual, gamma_lower, gamma_upper
+from bruhatdual.harness import analyze
 from bruhatdual.intervals import (
     bruhat_leq,
     build_interval,
@@ -40,6 +41,7 @@ from bruhatdual.permutations import (
     parse_permutation,
     simple_transposition,
 )
+from bruhatdual.polished import polished_decompose
 from bruhatdual.signed import CoxeterPresentation, SignedPermutation, group_elements
 
 perms = lambda n: st.permutations(list(range(1, n + 1))).map(tuple).map(Permutation)
@@ -339,39 +341,41 @@ class TestCoverGraph:
             assert results[t] == expected[t:] + expected[:t]
         graph = intervals._COVER_GRAPHS[Permutation]
         assert graph.ids == {im: g for g, im in enumerate(graph.images)}
-        assert len(graph.elements) == len(graph.covers) == len(graph.images)
-        assert all(x is None or x.images == graph.images[g] for g, x in enumerate(graph.elements))
+        assert len(graph.covers) == len(graph.images)
+        assert all(c < len(graph.images) for cs in graph.covers for c in cs)
 
-    def test_wraps_only_what_is_read(self, monkeypatch):
+    def test_graph_holds_no_elements(self, monkeypatch):
+        # element objects are built only where a caller reads them: no build,
+        # analysis or certification wraps the nodes of a whole interval
         monkeypatch.setattr(intervals, "_COVER_GRAPHS", {})
-        interval = build_interval(longest_permutation(5))
-        graph = intervals._COVER_GRAPHS[Permutation]
+        built = []
 
-        def wrapped():
-            return {g for g, x in enumerate(graph.elements) if x is not None}
+        def recording_build(w):
+            built.append(build_interval(w))
+            return built[-1]
 
-        assert len(graph.images) == 120
-        assert wrapped() == {interval.gids[-1]}  # the identity check reads the bottom
-        gamma_lower(interval)
-        read = {interval.gids[-1], *interval.gids_at_rank(1), *interval.gids_at_rank(2)}
-        assert wrapped() == read
-        assert interval.elements == [Permutation(graph.images[g]) for g in interval.gids]
-        assert wrapped() == set(range(120))
-
-    def test_shared_nodes_share_wrappers(self, monkeypatch):
-        monkeypatch.setattr(intervals, "_COVER_GRAPHS", {})
-        small = build_interval(parse_permutation("34521"))
-        big = build_interval(longest_permutation(5))
-        assert len(small.elements) < len(big.elements)
-        assert {id(x) for x in small.elements} <= {id(x) for x in big.elements}
-        again = build_interval(parse_permutation("34521"))
-        assert all(x is y for x, y in zip(again.elements, small.elements, strict=True))
+        monkeypatch.setattr(harness, "build_interval", recording_build)
+        w0, w = longest_permutation(5), parse_permutation("34521")
+        hint = polished_decompose(w0)
+        for x in (w0, w):
+            interval = build_interval(x)
+            analyze(x)
+            assert certify_self_dual(interval).is_self_dual == (x == w0)
+            if x == w0:
+                assert certify_self_dual(interval, hint).kind == "constructive-map"
+            else:
+                with pytest.raises(ValueError):
+                    certify_self_dual(interval, hint)
+            built.append(interval)
+        assert len(built) == 4
+        assert all("elements" not in vars(interval) for interval in built)
+        assert not hasattr(intervals._COVER_GRAPHS[Permutation], "elements")
 
     def test_concurrent_reads(self, monkeypatch):
         ws = [Permutation(im) for im in random.Random(7).sample(list(all_one_lines(6)), 12)]
         monkeypatch.setattr(intervals, "_COVER_GRAPHS", {})
         for w in ws:
-            build_interval(w)  # grow the graph, wrapping only the bottoms
+            build_interval(w)  # grow the graph
         results: dict[int, list] = {}
 
         def work(t):
@@ -392,8 +396,6 @@ class TestCoverGraph:
         for t in range(4):
             lists = results[t][len(ws) - t :] + results[t][: len(ws) - t]
             assert lists == expected
-            for mine, first in zip(lists, results[0], strict=True):
-                assert all(x is y for x, y in zip(mine, first, strict=True))
 
 
 class TestDegreeExtremes:

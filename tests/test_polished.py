@@ -1,7 +1,10 @@
+import pathlib
+import runpy
+
 import pytest
 
 from conftest import longest_permutation
-from oracle_utils import all_one_lines, brute_avoids_all
+from oracle_utils import SIX_AVOIDING_COUNTS, SMOOTH_COUNTS, all_one_lines, brute_avoids_all
 
 from bruhatdual.diagrams import type_a_diagram, type_b_diagram
 from bruhatdual.intervals import (
@@ -325,3 +328,13 @@ class TestBruteforcePolished:
     def test_capacity_guard(self):
         with pytest.raises(ValueError, match="bound 8"):
             is_polished_bruteforce(identity(10), type_a_diagram(9))
+
+
+def test_s8_census_tables_agree():
+    # the benchmark's S_8 split by length, frozen apart from the census of
+    # oracle_utils, must add up to the same smooth and six-avoiding counts
+    oracle = runpy.run_path(str(pathlib.Path(__file__).parents[1] / "bench" / "oracle.py"))
+    census = {stratum: sum(c.values()) for stratum, c in oracle["S8_LENGTH_CENSUS"].items()}
+    six, smooth_with_pattern = census[oracle["SIX_AVOIDING"]], census[oracle["SMOOTH_WITH_PATTERN"]]
+    assert six == SIX_AVOIDING_COUNTS[8]
+    assert six + smooth_with_pattern == SMOOTH_COUNTS[8]
