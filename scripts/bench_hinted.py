@@ -7,7 +7,12 @@ one part per run, printed as one JSON line.
   check; times build_interval and certify_self_dual with the assembled
   decomposition as hint, in one fresh interpreter;
 - main-n7, main-n8: verify_main(n, sd4_mode="constructive-only", jobs=2),
-  whose six-avoiders all take the hinted path.
+  whose six-avoiders all take the hinted path;
+- s9-uniform: 2,000 uniform elements of S_9, drawn with random.Random(5);
+  runs harness._sd_predicates(w, "constructive-only") on each, in one
+  fresh interpreter, with a timer around each stage it calls, and gives the
+  mean time per element for the six-pattern avoiders and for the rest, the
+  per-element cost of an exhaustive constructive-only S_9 sweep.
 
 The package is imported from the environment, so point PYTHONPATH at the
 checkout to time, and alternate two checkouts to compare them:
@@ -19,6 +24,7 @@ import argparse
 import json
 import random
 import time
+from collections import Counter
 from itertools import combinations
 
 SEED = 9
@@ -80,7 +86,66 @@ def main_sweep(n: int) -> dict:
     }
 
 
-PARTS = {"s9-sample": s9_sample, "main-n7": lambda: main_sweep(7), "main-n8": lambda: main_sweep(8)}
+UNIFORM_SEED = 5
+UNIFORM_SAMPLE = 2000
+# the stages harness._sd_predicates calls, as names in the harness module
+SD_STAGES = (
+    "gamma_graphs_direct",
+    "bipartite_isomorphic",
+    "selfdual_pattern_witness",
+    "assemble_decomposition",
+    "build_interval",
+    "certify_self_dual",
+)
+
+
+def s9_uniform() -> dict:
+    from bruhatdual import harness
+    from bruhatdual.permutations import Permutation
+
+    busy: Counter[str] = Counter()
+
+    def timed(stage, fn):
+        def run(*args):
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                busy[stage] += time.perf_counter() - start
+
+        return run
+
+    for stage in SD_STAGES:
+        setattr(harness, stage, timed(stage, getattr(harness, stage)))
+    rng = random.Random(UNIFORM_SEED)
+    ws = []
+    for _ in range(UNIFORM_SAMPLE):
+        w = list(range(1, 10))
+        rng.shuffle(w)
+        ws.append(Permutation(tuple(w)))
+    spent = {True: [], False: []}  # six-avoiding or not: per-element seconds
+    for w in ws:
+        start = time.perf_counter()
+        row = harness._sd_predicates(w, "constructive-only")
+        spent[row["sd2_patterns"]].append(time.perf_counter() - start)
+    total = sum(map(sum, spent.values()))
+    return {
+        "elements": len(ws),
+        "six_avoiding": len(spent[True]),
+        "total_s": round(total, 3),
+        "ms_per_element": round(1000 * total / len(ws), 3),
+        "ms_per_six_avoider": round(1000 * sum(spent[True]) / len(spent[True]), 3),
+        "ms_per_other": round(1000 * sum(spent[False]) / len(spent[False]), 3),
+        "stage_s": {stage: round(busy[stage], 3) for stage in SD_STAGES},
+    }
+
+
+PARTS = {
+    "s9-sample": s9_sample,
+    "s9-uniform": s9_uniform,
+    "main-n7": lambda: main_sweep(7),
+    "main-n8": lambda: main_sweep(8),
+}
 
 
 def main() -> None:

@@ -26,17 +26,20 @@ from .signed import Element
 
 @dataclass(frozen=True)
 class LevelGraph:
-    """Bipartite cover graph between two adjacent ranks of an interval.
+    """Bipartite cover graph between two adjacent ranks of an interval, its
+    vertices held as one-line tuples; ``type(w)(x)`` makes one an element of
+    the class of the top w.
 
     For the lower graph the small side is rank 1 and the big side rank 2; for
     the upper graph the small side is corank 1 and the big side corank 2.
-    Edges hold (small index, big index) pairs; vertex order follows interval
-    BFS ids, so construction is deterministic.
+    Edges hold (small index, big index) pairs.  Vertex order is deterministic:
+    interval BFS ids on the interval route, one-line order on the direct one
+    (``harness.gamma_graphs_direct``).
     """
 
     side: str  # "lower" or "upper"
-    small: tuple[Element, ...]
-    big: tuple[Element, ...]
+    small: tuple[tuple[int, ...], ...]
+    big: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
 
     def small_degrees(self) -> tuple[int, ...]:
@@ -62,7 +65,7 @@ def _level_graph(interval: BruhatInterval, rank: int, side: str) -> LevelGraph:
     small, big = high, low
     if side == "lower":
         small, big, covers = low, high, [(j, i) for i, j in covers]
-    small, big = (tuple(map(graph.cls, map(graph.images.__getitem__, gs))) for gs in (small, big))
+    small, big = (tuple(map(graph.images.__getitem__, gs)) for gs in (small, big))
     return LevelGraph(side, small, big, tuple(sorted(covers)))
 
 
@@ -80,8 +83,11 @@ def gamma_upper(interval: BruhatInterval) -> LevelGraph:
     return _level_graph(interval, interval.top_rank - 1, "upper")
 
 
-def bipartite_isomorphic(g: LevelGraph, h: LevelGraph) -> Optional[dict[Element, Element]]:
-    """A side-respecting isomorphism g -> h as a vertex map, or None.
+def bipartite_isomorphic(
+    g: LevelGraph, h: LevelGraph
+) -> Optional[dict[tuple[int, ...], tuple[int, ...]]]:
+    """A side-respecting isomorphism g -> h as a map between one-line tuples,
+    or None.
 
     Small sides are matched by backtracking over degree-compatible
     assignments (most-constrained vertices first); a candidate assignment

@@ -4,14 +4,15 @@ counterexamples, with per-degree tallies and violation records.
 
 A sweep runs one per-element check over S_n for every n in its range.  Each
 S_n is split by first image value into (n, first value) chunks, and the
-chunks of every n go to one worker pool per sweep; results merge in chunk
-order, so reports do not depend on the number of workers.
+chunks of every n go to one worker pool per sweep, largest n first; results
+merge in chunk order, so reports do not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -26,12 +27,11 @@ from .duality import (
     gamma_upper,
 )
 from .intervals import (
-    bruhat_leq,
     build_interval,
     degree_extremes,
     rank_profile,
 )
-from .permutations import Permutation, simple_transposition
+from .permutations import Permutation
 from .polished import (
     NotPolishedError,
     PolishedDecomposition,
@@ -69,41 +69,66 @@ class VerificationReport:
 # -- fast level graphs (no full interval) ----------------------------------------
 
 
+def _below_on_window(x: tuple[int, ...], w: tuple[int, ...], i: int) -> bool:
+    """x <= w in S_n, for one-line tuples where x equals the identity outside
+    positions i..i+2 (1-based).  By the tableau criterion u <= w exactly when
+    every sorted prefix of u is entrywise at most the sorted prefix of w of
+    the same length; x's prefixes of any length other than i and i + 1 hold
+    1..k, which pass at once."""
+    return all(all(map(operator.le, sorted(x[:k]), sorted(w[:k]))) for k in (i, i + 1))
+
+
 def gamma_graphs_direct(w: Permutation) -> tuple[LevelGraph, LevelGraph]:
-    """Both level graphs of [e, w] built without constructing the interval:
-    the bottom pair from the simple transpositions in supp(w) and their
-    pairwise products filtered by Bruhat comparison (every element of
-    length 2 is some s_i s_j with i != j, and lies below w only if its
-    support does; the atom s_i lies below it exactly when i is in that
-    support), the top pair from iterated cover moves below w on one-line
-    tuples.
+    """Both level graphs of [e, w] on one-line tuples, built without the
+    interval and without element objects.
 
-    Agrees with the interval route as labeled graphs (property-tested).
+    Lower: the atoms are the s_i with i in supp(w), read off the prefix
+    maxima of w.  Every element of length 2 is s_i s_j with i != j; it lies
+    below w only if i and j are both in supp(w), and then it covers exactly
+    s_i and s_j.  A commuting pair (|i - j| >= 2) gives one product, below w
+    by the subword property.  An adjacent pair gives s_i s_{i+1} and
+    s_{i+1} s_i, each kept by the two-prefix tableau check.  Upper: iterated
+    cover moves below w.  Each side is sorted by one-line tuple; the graphs
+    equal the interval route's vertex for vertex and edge for edge (tested).
     """
-    if w.length() < 2:
+    im = w.images
+    n = len(im)
+    support = []
+    prefix_max = 0
+    for i in range(1, n):
+        prefix_max = max(prefix_max, im[i - 1])
+        if prefix_max != i:
+            support.append(i)
+    if len(support) < 2:  # |supp(w)| < 2 exactly when w is e or a simple s_i
         raise ValueError("level graphs need length >= 2")
-    n = w.n
-    support = sorted(w.support(), reverse=True)  # s_i's images fall as i grows
-    atoms = [simple_transposition(n, i) for i in support]
-    rank2 = sorted(
-        (x for x in {a * b for a in atoms for b in atoms if a != b} if bruhat_leq(x, w)),
-        key=lambda x: x.images,
-    )
+    e = tuple(range(1, n + 1))
+    rank2 = []
+    for k, i in enumerate(support):
+        for j in support[k + 1 :]:
+            if j > i + 1:
+                x = e[: i - 1] + (i + 1, i) + e[i + 1 : j - 1] + (j + 1, j) + e[j + 1 :]
+                rank2.append((x, i, j))
+                continue
+            for window in ((i + 1, i + 2, i), (i + 2, i, i + 1)):  # s_i s_j, s_j s_i
+                x = e[: i - 1] + window + e[i + 2 :]
+                if _below_on_window(x, im, i):
+                    rank2.append((x, i, j))
+    rank2.sort()
+    support.reverse()  # s_i's one-line tuple falls as i grows
     atom_id = {i: si for si, i in enumerate(support)}
-    lower_edges = sorted((atom_id[i], bi) for bi, v in enumerate(rank2) for i in v.support())
-    lower = LevelGraph("lower", tuple(atoms), tuple(rank2), tuple(lower_edges))
+    lower = LevelGraph(
+        "lower",
+        tuple(e[: i - 1] + (i + 1, i) + e[i + 1 :] for i in support),
+        tuple(x for x, _, _ in rank2),
+        tuple(sorted((atom_id[a], bi) for bi, (_, i, j) in enumerate(rank2) for a in (i, j))),
+    )
 
-    coatoms = sorted(Permutation.down_cover_images(w.images))
+    coatoms = sorted(Permutation.down_cover_images(im))
     below = [Permutation.down_cover_images(c) for c in coatoms]
     corank2 = sorted({d for ds in below for d in ds})
     big_id = {d: bi for bi, d in enumerate(corank2)}
     upper_edges = sorted((si, big_id[d]) for si, ds in enumerate(below) for d in ds)
-    upper = LevelGraph(
-        "upper",
-        tuple(map(Permutation, coatoms)),
-        tuple(map(Permutation, corank2)),
-        tuple(upper_edges),
-    )
+    upper = LevelGraph("upper", tuple(coatoms), tuple(corank2), tuple(upper_edges))
     return lower, upper
 
 
@@ -285,17 +310,21 @@ def _sweep(
 ) -> VerificationReport:
     """Run ``check`` on every element of S_n for n in ``ns``: one
     (n, first value, *rest) chunk per first value of every n, all handed to
-    one pool, merged in chunk order.  Each n's tallies list ``keys`` in
-    order, zeros included, so the report does not depend on ``jobs``."""
+    one pool, merged in chunk order.  The pool takes the largest n first, so
+    the longest chunks do not run last while a worker idles.  Each n's
+    tallies list ``keys`` in order, zeros included, so the report does not
+    depend on ``jobs``."""
     start = time.perf_counter()
     chunks = [(n, first, *rest) for n in ns for first in range(1, n + 1)]
-    results = _run_chunks(functools.partial(_chunk, check), chunks, jobs)
+    submitted = sorted(chunks, key=lambda args: -args[0])
+    done = dict(zip(submitted, _run_chunks(functools.partial(_chunk, check), submitted, jobs)))
     checked = 0
     violations: list[dict] = []
     totals: dict[int, Counter[str]] = {n: Counter() for n in ns}
-    for (n, *_), (count, tally, found) in zip(chunks, results):
+    for args in chunks:
+        count, tally, found = done[args]
         checked += count
-        totals[n].update(tally)
+        totals[args[0]].update(tally)
         violations.extend(found)
     return VerificationReport(
         theorem=theorem,

@@ -182,10 +182,6 @@ def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 
 
-def simple_transposition(n: int, i: int) -> Permutation:
-    return identity(n).times_simple_right(i)
-
-
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic one-line order."""
     for im in itertools.permutations(range(1, n + 1)):

@@ -19,28 +19,31 @@ def element_kind(x: Element) -> str:
 # -- level graphs -------------------------------------------------------------
 
 
+def _level_graph_labels(g: LevelGraph, top: Element) -> tuple[list[str], list[str]]:
+    """The one-line labels of both sides, each vertex made an element of the
+    class of ``top``."""
+    cls = type(top)
+    return [cls(x).one_line() for x in g.small], [cls(x).one_line() for x in g.big]
+
+
 def level_graph_to_dict(g: LevelGraph, top: Element) -> dict:
-    labels = [x.one_line() for x in g.small] + [x.one_line() for x in g.big]
-    offset = len(g.small)
+    small, big = _level_graph_labels(g, top)
     return {
         "kind": "level-graph",
         "element_kind": element_kind(top),
         "side": g.side,
         "top": top.one_line(),
-        "small_count": len(g.small),
-        "vertices": labels,
-        "edges": [[si, offset + bi] for si, bi in g.edges],
+        "small_count": len(small),
+        "vertices": small + big,
+        "edges": [[si, len(small) + bi] for si, bi in g.edges],
     }
 
 
 def level_graph_to_dot(g: LevelGraph, top: Element) -> str:
+    small, big = _level_graph_labels(g, top)
     lines = [f"graph gamma_{g.side} {{", f'  label="{g.side} level graph of {top.one_line()}";']
-    for x in g.small:
-        lines.append(f'  "{x.one_line()}";')
-    for x in g.big:
-        lines.append(f'  "{x.one_line()}";')
-    for si, bi in g.edges:
-        lines.append(f'  "{g.small[si].one_line()}" -- "{g.big[bi].one_line()}";')
+    lines += [f'  "{name}";' for name in small + big]
+    lines += [f'  "{small[si]}" -- "{big[bi]}";' for si, bi in g.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

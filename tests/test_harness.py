@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from bruhatdual import harness
-from bruhatdual.intervals import subword_downset
+from bruhatdual.intervals import bruhat_leq, subword_downset
 from bruhatdual.permutations import Permutation
 
 
@@ -126,6 +126,64 @@ class TestGammaGraphsDirect:
             if w.length() < 2:
                 continue
             below = subword_downset(w)
-            expected = sorted((u for u in length_two if u in below), key=lambda x: x.images)
+            expected = sorted(u.images for u in length_two if u in below)
             lower, _ = harness.gamma_graphs_direct(w)
             assert list(lower.big) == expected
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_two_prefix_check_matches_bruhat_leq(self, n):
+        e = tuple(range(1, n + 1))
+        for im in itertools.permutations(e):
+            w = Permutation(im)
+            for i in range(1, n - 1):
+                for window in ((i + 1, i + 2, i), (i + 2, i, i + 1)):  # s_i s_i+1, s_i+1 s_i
+                    x = e[: i - 1] + window + e[i + 2 :]
+                    assert harness._below_on_window(x, im, i) == bruhat_leq(Permutation(x), w)
+
+    def test_sd1_builds_no_permutation(self, monkeypatch):
+        # from the direct level graphs to the isomorphism verdict, SD1 holds
+        # one-line tuples and constructs no Permutation
+        built = []
+        post_init = Permutation.__post_init__
+
+        def counting(self):
+            built.append(self.images)
+            post_init(self)
+
+        monkeypatch.setattr(Permutation, "__post_init__", counting)
+        real_direct, real_iso = harness.gamma_graphs_direct, harness.bipartite_isomorphic
+        marks = []
+
+        def direct(w):
+            marks.append(len(built))
+            return real_direct(w)
+
+        def iso(g, h):
+            assert all(type(x) is tuple for lg in (g, h) for x in lg.small + lg.big)
+            found = real_iso(g, h)
+            assert len(built) == marks[-1]
+            return found
+
+        monkeypatch.setattr(harness, "gamma_graphs_direct", direct)
+        monkeypatch.setattr(harness, "bipartite_isomorphic", iso)
+        ws = [Permutation(im) for im in itertools.permutations(range(1, 6))]
+        for w in ws:
+            harness._sd_predicates(w, "constructive-only")
+        assert len(marks) == len(ws) - 1 - 4  # all but e and the four s_i
+        assert built  # the counter sees the other stages build elements
+
+
+class TestChunkOrder:
+    def test_largest_n_first_merged_in_chunk_order(self, monkeypatch):
+        submitted = []
+
+        def record(worker, chunk_args, jobs):
+            submitted.extend(args[:2] for args in chunk_args)
+            return [(1, Counter(), [{"chunk": args[:2]}]) for args in chunk_args]
+
+        monkeypatch.setattr(harness, "_run_chunks", record)
+        report = harness.verify_main(4, "full", jobs=2)
+        chunks = [(n, first) for n in range(1, 5) for first in range(1, n + 1)]
+        assert submitted == sorted(chunks, key=lambda c: -c[0])
+        assert [v["chunk"] for v in report.violations] == chunks
+        assert report.checked == len(chunks)

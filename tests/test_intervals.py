@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import longest_permutation
+from conftest import longest_permutation, simple_transposition
 from oracle_utils import (
     SMOOTH_COUNTS,
     SMOOTH_PATTERNS,
@@ -35,12 +35,7 @@ from bruhatdual.intervals import (
     subword_downset,
     subword_leq,
 )
-from bruhatdual.permutations import (
-    Permutation,
-    identity,
-    parse_permutation,
-    simple_transposition,
-)
+from bruhatdual.permutations import Permutation, identity, parse_permutation
 from bruhatdual.polished import polished_decompose
 from bruhatdual.signed import CoxeterPresentation, SignedPermutation, group_elements
 
