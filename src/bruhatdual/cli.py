@@ -14,7 +14,7 @@ import sys
 import click
 
 from .duality import gamma_lower, gamma_upper
-from .harness import analyze, verify_counterexamples, verify_main, verify_topheavy
+from .harness import MAX_SWEEP_DEGREE, analyze, verify_counterexamples, verify_main, verify_topheavy
 from .intervals import build_interval
 from .permutations import ParseError, Permutation, parse_permutation
 from .polished import PatternWitnessError, polished_decompose
@@ -48,6 +48,8 @@ def _parse(perm_text: str, builds_interval: bool) -> Permutation:
 
 
 def _check_output_dir(ctx: click.Context, param: click.Parameter, value: str | None) -> str | None:
+    if value == "":
+        raise click.BadParameter("the file name is empty.", ctx, param)
     if value is not None:
         parent = os.path.dirname(value) or "."
         if not os.path.isdir(parent):
@@ -66,7 +68,7 @@ _output_option = click.option(
 
 
 def _emit(payload: str, output: str | None) -> None:
-    if output:
+    if output is not None:
         with open(output, "w") as fh:
             fh.write(payload)
     else:
@@ -108,7 +110,7 @@ def cmd_analyze(perm_text: str, output: str | None) -> None:
 
 
 @main.command("verify-main")
-@click.option("--n-max", type=click.IntRange(1, 8), default=5, show_default=True)
+@click.option("--n-max", type=click.IntRange(1, MAX_SWEEP_DEGREE), default=5, show_default=True)
 @click.option(
     "--sd4-mode",
     type=click.Choice(["full", "constructive-only"]),
@@ -127,7 +129,7 @@ def cmd_verify_main(n_max: int, sd4_mode: str, jobs: int, output: str | None):
 
 
 @main.command("verify-topheavy")
-@click.option("--n-max", type=click.IntRange(2, 8), default=5, show_default=True)
+@click.option("--n-max", type=click.IntRange(2, MAX_SWEEP_DEGREE), default=5, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="BRUHAT_JOBS",
               show_default=True)
 @_output_option

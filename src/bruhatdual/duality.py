@@ -1,4 +1,5 @@
-"""Level graphs between the extreme rank pairs of [e, w], bipartite-graph
+"""Level graphs between the extreme rank pairs of [e, w], read off the
+interval or, for a permutation, built straight from w; bipartite-graph
 isomorphism, the explicit duality map coming from a polished decomposition,
 and poset self-duality certification.  The hinted path checks the map's
 images by id.  The search looks for an isomorphism from [e, w] to its dual
@@ -13,10 +14,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .intervals import BruhatInterval, bruhat_leq, rank_profile
-from .permutations import Permutation
+from .permutations import Permutation, tableau_leq
 from .polished import PolishedDecomposition
 from .signed import Element
 
@@ -33,8 +34,8 @@ class LevelGraph:
     For the lower graph the small side is rank 1 and the big side rank 2; for
     the upper graph the small side is corank 1 and the big side corank 2.
     Edges hold (small index, big index) pairs.  Vertex order is deterministic:
-    interval BFS ids on the interval route, one-line order on the direct one
-    (``harness.gamma_graphs_direct``).
+    interval BFS ids on the interval route (``gamma_lower``/``gamma_upper``),
+    one-line order on the direct one (``gamma_graphs_direct``).
     """
 
     side: str  # "lower" or "upper"
@@ -55,32 +56,88 @@ class LevelGraph:
         return [frozenset(s) for s in nbhd]
 
 
-def _level_graph(interval: BruhatInterval, rank: int, side: str) -> LevelGraph:
-    """The covers between ranks rank - 1 and rank, read off the cover graph at
-    the graph ids of rank, each vertex indexed by its place in its rank."""
+def _assemble(side: str, high: Iterable, low: Iterable, covers: list) -> LevelGraph:
+    """The level graph on two adjacent ranks, from the one-line tuples of the
+    higher rank and of the lower one and the covers between them as
+    (higher index, lower index) pairs.  The lower graph's small side is its
+    lower rank, the upper graph's its higher rank; edges are sorted
+    (small index, big index) pairs."""
+    if side == "lower":
+        return LevelGraph(side, tuple(low), tuple(high), tuple(sorted((j, i) for i, j in covers)))
+    return LevelGraph(side, tuple(high), tuple(low), tuple(sorted(covers)))
+
+
+def _level_graph(interval: BruhatInterval, side: str) -> LevelGraph:
+    """The covers between ranks 1 and 2 (lower) or coranks 1 and 2 (upper),
+    read off the cover graph at the graph ids of the higher rank, each vertex
+    indexed by its place in its rank."""
+    if interval.top_rank < 2:
+        raise ValueError("level graphs need an interval of rank >= 2")
+    rank = 2 if side == "lower" else interval.top_rank - 1
     graph = interval.graph
     high, low = interval.gids_at_rank(rank), interval.gids_at_rank(rank - 1)
     position = dict(zip(low, range(len(low))))
     covers = [(i, position[y]) for i, g in enumerate(high) for y in graph.covers[g]]
-    small, big = high, low
-    if side == "lower":
-        small, big, covers = low, high, [(j, i) for i, j in covers]
-    small, big = (tuple(map(graph.images.__getitem__, gs)) for gs in (small, big))
-    return LevelGraph(side, small, big, tuple(sorted(covers)))
+    image = graph.images.__getitem__
+    return _assemble(side, map(image, high), map(image, low), covers)
 
 
 def gamma_lower(interval: BruhatInterval) -> LevelGraph:
     """Cover graph between ranks 1 and 2 of [e, w]."""
-    if interval.top_rank < 2:
-        raise ValueError("level graphs need an interval of rank >= 2")
-    return _level_graph(interval, 2, "lower")
+    return _level_graph(interval, "lower")
 
 
 def gamma_upper(interval: BruhatInterval) -> LevelGraph:
     """Cover graph between coranks 1 and 2 of [e, w]."""
-    if interval.top_rank < 2:
-        raise ValueError("level graphs need an interval of rank >= 2")
-    return _level_graph(interval, interval.top_rank - 1, "upper")
+    return _level_graph(interval, "upper")
+
+
+def gamma_graphs_direct(w: Permutation) -> tuple[LevelGraph, LevelGraph]:
+    """Both level graphs of [e, w] on one-line tuples, built without the
+    interval and without element objects.
+
+    Lower: the atoms are the s_i with i in supp(w).  Every element of length
+    2 is s_i s_j with i != j; it lies below w only if i and j are both in
+    supp(w), and then it covers exactly s_i and s_j.  A commuting pair
+    (|i - j| >= 2) gives one product, below w by the subword property.  An
+    adjacent pair gives s_i s_{i+1} and s_{i+1} s_i, each kept by the
+    tableau criterion on the two prefixes (lengths i and i + 1) where it can
+    differ from e.  Upper: iterated cover moves below w.  Each side is
+    sorted by one-line tuple; the graphs equal the interval route's vertex
+    for vertex and edge for edge (tested).
+    """
+    im = w.images
+    support = sorted(w.support())
+    if len(support) < 2:  # |supp(w)| < 2 exactly when w is e or a simple s_i
+        raise ValueError("level graphs need length >= 2")
+    e = tuple(range(1, len(im) + 1))
+    rank2 = []
+    for k, i in enumerate(support):
+        for j in support[k + 1 :]:
+            if j > i + 1:
+                x = e[: i - 1] + (i + 1, i) + e[i + 1 : j - 1] + (j + 1, j) + e[j + 1 :]
+                rank2.append((x, i, j))
+                continue
+            for window in ((i + 1, i + 2, i), (i + 2, i, i + 1)):  # s_i s_j, s_j s_i
+                x = e[: i - 1] + window + e[i + 2 :]
+                if tableau_leq(x, im, (i, i + 1)):
+                    rank2.append((x, i, j))
+    rank2.sort()
+    support.reverse()  # s_i's one-line tuple falls as i grows
+    atom_id = {i: si for si, i in enumerate(support)}
+    lower = _assemble(
+        "lower",
+        [x for x, _, _ in rank2],
+        [e[: i - 1] + (i + 1, i) + e[i + 1 :] for i in support],
+        [(bi, atom_id[a]) for bi, (_, i, j) in enumerate(rank2) for a in (i, j)],
+    )
+
+    coatoms = sorted(Permutation.down_cover_images(im))
+    below = [Permutation.down_cover_images(c) for c in coatoms]
+    corank2 = sorted({d for ds in below for d in ds})
+    big_id = {d: bi for bi, d in enumerate(corank2)}
+    covers = [(si, big_id[d]) for si, ds in enumerate(below) for d in ds]
+    return lower, _assemble("upper", coatoms, corank2, covers)
 
 
 def bipartite_isomorphic(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -20,9 +19,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .duality import (
-    LevelGraph,
     bipartite_isomorphic,
     certify_self_dual,
+    gamma_graphs_direct,
     gamma_lower,
     gamma_upper,
 )
@@ -40,6 +39,10 @@ from .polished import (
     selfdual_pattern_witness,
 )
 from .signed import CoxeterPresentation, evaluate_word, group_elements
+
+
+# the largest n the S_n sweeps take; the CLI's --n-max options read it too
+MAX_SWEEP_DEGREE = 8
 
 
 @dataclass
@@ -64,72 +67,6 @@ class VerificationReport:
             "tallies": self.tallies,
             "wall_time": self.wall_time,
         }
-
-
-# -- fast level graphs (no full interval) ----------------------------------------
-
-
-def _below_on_window(x: tuple[int, ...], w: tuple[int, ...], i: int) -> bool:
-    """x <= w in S_n, for one-line tuples where x equals the identity outside
-    positions i..i+2 (1-based).  By the tableau criterion u <= w exactly when
-    every sorted prefix of u is entrywise at most the sorted prefix of w of
-    the same length; x's prefixes of any length other than i and i + 1 hold
-    1..k, which pass at once."""
-    return all(all(map(operator.le, sorted(x[:k]), sorted(w[:k]))) for k in (i, i + 1))
-
-
-def gamma_graphs_direct(w: Permutation) -> tuple[LevelGraph, LevelGraph]:
-    """Both level graphs of [e, w] on one-line tuples, built without the
-    interval and without element objects.
-
-    Lower: the atoms are the s_i with i in supp(w), read off the prefix
-    maxima of w.  Every element of length 2 is s_i s_j with i != j; it lies
-    below w only if i and j are both in supp(w), and then it covers exactly
-    s_i and s_j.  A commuting pair (|i - j| >= 2) gives one product, below w
-    by the subword property.  An adjacent pair gives s_i s_{i+1} and
-    s_{i+1} s_i, each kept by the two-prefix tableau check.  Upper: iterated
-    cover moves below w.  Each side is sorted by one-line tuple; the graphs
-    equal the interval route's vertex for vertex and edge for edge (tested).
-    """
-    im = w.images
-    n = len(im)
-    support = []
-    prefix_max = 0
-    for i in range(1, n):
-        prefix_max = max(prefix_max, im[i - 1])
-        if prefix_max != i:
-            support.append(i)
-    if len(support) < 2:  # |supp(w)| < 2 exactly when w is e or a simple s_i
-        raise ValueError("level graphs need length >= 2")
-    e = tuple(range(1, n + 1))
-    rank2 = []
-    for k, i in enumerate(support):
-        for j in support[k + 1 :]:
-            if j > i + 1:
-                x = e[: i - 1] + (i + 1, i) + e[i + 1 : j - 1] + (j + 1, j) + e[j + 1 :]
-                rank2.append((x, i, j))
-                continue
-            for window in ((i + 1, i + 2, i), (i + 2, i, i + 1)):  # s_i s_j, s_j s_i
-                x = e[: i - 1] + window + e[i + 2 :]
-                if _below_on_window(x, im, i):
-                    rank2.append((x, i, j))
-    rank2.sort()
-    support.reverse()  # s_i's one-line tuple falls as i grows
-    atom_id = {i: si for si, i in enumerate(support)}
-    lower = LevelGraph(
-        "lower",
-        tuple(e[: i - 1] + (i + 1, i) + e[i + 1 :] for i in support),
-        tuple(x for x, _, _ in rank2),
-        tuple(sorted((atom_id[a], bi) for bi, (_, i, j) in enumerate(rank2) for a in (i, j))),
-    )
-
-    coatoms = sorted(Permutation.down_cover_images(im))
-    below = [Permutation.down_cover_images(c) for c in coatoms]
-    corank2 = sorted({d for ds in below for d in ds})
-    big_id = {d: bi for bi, d in enumerate(corank2)}
-    upper_edges = sorted((si, big_id[d]) for si, ds in enumerate(below) for d in ds)
-    upper = LevelGraph("upper", tuple(coatoms), tuple(corank2), tuple(upper_edges))
-    return lower, upper
 
 
 # -- per-element predicate rows -----------------------------------------------------
@@ -342,8 +279,8 @@ def verify_main(
     """Sweep every w in S_1..S_{n_max} and assert the four self-duality
     predicates agree.  ``sd4_mode`` applies at every n.  ``force_full`` is
     accepted and ignored: full mode always runs the refutation search."""
-    if not 1 <= n_max <= 8:
-        raise ValueError("n_max must be between 1 and 8")
+    if not 1 <= n_max <= MAX_SWEEP_DEGREE:
+        raise ValueError(f"n_max must be between 1 and {MAX_SWEEP_DEGREE}")
     if sd4_mode not in ("full", "constructive-only"):
         raise ValueError(f"unknown sd4 mode {sd4_mode!r}")
     keys = tuple(key for key, _ in _MAIN_TALLY)
@@ -357,8 +294,8 @@ def verify_topheavy(n_max: int, jobs: int = 1) -> VerificationReport:
     equality exactly on the six-pattern avoiders.  The ``smooth`` tally
     counts every smooth w, as in verify_main; ``degree_equal`` plus
     ``degree_strict`` counts those of length >= 2."""
-    if not 2 <= n_max <= 8:
-        raise ValueError("n_max must be between 2 and 8")
+    if not 2 <= n_max <= MAX_SWEEP_DEGREE:
+        raise ValueError(f"n_max must be between 2 and {MAX_SWEEP_DEGREE}")
     keys = ("smooth", "degree_equal", "degree_strict")
     return _sweep("thm-topheavy", range(2, n_max + 1), _topheavy_checks, keys, (), jobs)
 

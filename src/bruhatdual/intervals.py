@@ -26,43 +26,24 @@ from functools import cached_property
 from itertools import chain, pairwise, repeat
 from typing import Iterable
 
-from .permutations import Permutation
-from .signed import Element
+from .permutations import Permutation, tableau_leq
+from .signed import Element, _walk
 
 
 # -- comparison ----------------------------------------------------------------
 
 
-def _dominance_leq(u: Permutation, w: Permutation) -> bool:
-    """Rank-matrix criterion for S_n: u <= w iff every prefix of u contains
-    at least as many small values as the same prefix of w."""
-    n = u.n
-    uim, wim = u.images, w.images
-    ucount = [0] * (n + 1)
-    wcount = [0] * (n + 1)
-    for i in range(n - 1):
-        uv, wv = uim[i], wim[i]
-        for j in range(uv, n + 1):
-            ucount[j] += 1
-        for j in range(wv, n + 1):
-            wcount[j] += 1
-        for j in range(1, n + 1):
-            if ucount[j] < wcount[j]:
-                return False
-    return True
-
-
 def bruhat_leq(u: Element, w: Element) -> bool:
     """u <= w in Bruhat order.
 
-    S_n uses the dominance criterion; signed permutations look u up in
-    [e, w] as build_interval builds it.  Both agree with the subword oracle
-    (tested exhaustively).
+    S_n uses the tableau criterion at every prefix length; signed
+    permutations look u up in [e, w] as build_interval builds it.  Both
+    agree with the subword oracle (tested exhaustively).
     """
     if type(u) is not type(w) or u.n != w.n:
         raise ValueError(f"cannot compare {u!r} and {w!r}")
     if isinstance(u, Permutation):
-        return _dominance_leq(u, w)
+        return tableau_leq(u.images, w.images, range(1, u.n))
     if u.length() > w.length():
         return False
     return build_interval(w).contains(u)
@@ -316,20 +297,8 @@ def longest_parabolic(identity_el: Element, J: Iterable[int]) -> Element:
 
 
 def enumerate_parabolic(identity_el: Element, J: Iterable[int]) -> list[Element]:
-    """All of W_J, by BFS over the J-generators."""
-    Jset = sorted(frozenset(J))
-    seen = {identity_el}
-    frontier = [identity_el]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i in Jset:
-                y = x.times_simple_right(i)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen, key=lambda e: (e.length(), e.images))
+    """All of W_J, by BFS over the J-generators, sorted by length, then one-line."""
+    return sorted(_walk(identity_el, sorted(frozenset(J))), key=lambda e: (e.length(), e.images))
 
 
 def is_bp_decomposition(w: Element, J: Iterable[int]) -> bool:

@@ -13,8 +13,9 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 
 class ParseError(ValueError):
@@ -180,6 +181,21 @@ class Permutation:
 
 def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
+
+
+def tableau_leq(u: tuple[int, ...], w: tuple[int, ...], prefixes: Iterable[int]) -> bool:
+    """The tableau criterion for Bruhat order on S_n (Bjorner-Brenti,
+    Thm 2.6.3), on one-line tuples and at the given prefix lengths: every
+    sorted prefix of u is entrywise at most the sorted prefix of w of the
+    same length.  Checked at every length 1..n-1 it decides u <= w; a caller
+    may pass fewer lengths when u's other prefixes are known to pass.
+
+    >>> tableau_leq((2, 1, 3), (3, 1, 2), range(1, 3))
+    True
+    >>> tableau_leq((2, 3, 1), (3, 1, 2), range(1, 3))
+    False
+    """
+    return all(all(map(operator.le, sorted(u[:k]), sorted(w[:k]))) for k in prefixes)
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

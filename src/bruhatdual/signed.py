@@ -245,13 +245,20 @@ def evaluate_word(word: Sequence[int], group: CoxeterPresentation) -> WordResult
 def group_elements(group: CoxeterPresentation) -> Iterator[Element]:
     """BFS enumeration of the whole group from the identity."""
     start = group.identity()
+    return _walk(start, start.simple_indices())
+
+
+def _walk(start: Element, gens: Sequence[int]) -> Iterator[Element]:
+    """The coset of start by the subgroup that the simple reflections
+    ``gens`` generate: BFS by right multiplication, one frontier at a time,
+    each generator in the order given."""
     seen = {start}
     frontier = [start]
     while frontier:
         yield from frontier
         nxt = []
         for x in frontier:
-            for i in x.simple_indices():
+            for i in gens:
                 y = x.times_simple_right(i)
                 if y not in seen:
                     seen.add(y)

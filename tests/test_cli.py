@@ -8,6 +8,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from bruhatdual import harness
 from bruhatdual.cli import main
 from bruhatdual.duality import gamma_lower, gamma_upper
 from bruhatdual.intervals import build_interval
@@ -91,6 +92,22 @@ class TestVerifyCommands:
                                ("verify-topheavy", 1), ("verify-topheavy", 9)]:
             result = runner.invoke(main, [command, "--n-max", str(n_max)])
             assert result.exit_code == 2 and "--n-max" in result.output, (command, n_max)
+
+    @pytest.mark.parametrize("command,call", [("verify-main", "verify_main"),
+                                              ("verify-topheavy", "verify_topheavy")])
+    def test_n_max_bound_is_the_harness_bound(self, runner, monkeypatch, command, call):
+        # --n-max is a usage error exactly when the harness rejects n_max;
+        # the sweep itself is stubbed out, so only the bound checks run
+        stub = harness.VerificationReport(command, [], 0, [], 0.0)
+        monkeypatch.setattr(harness, "_sweep", lambda *args: stub)
+        for n_max in sorted({harness.MAX_SWEEP_DEGREE, harness.MAX_SWEEP_DEGREE + 1, 9}):
+            try:
+                getattr(harness, call)(n_max)
+                harness_raises = False
+            except ValueError:
+                harness_raises = True
+            result = runner.invoke(main, [command, "--n-max", str(n_max)])
+            assert result.exit_code == (2 if harness_raises else 0), (n_max, result.output)
 
     def test_determinism(self, runner):
         a = runner.invoke(main, ["verify-main", "--n-max", "4"])
@@ -191,6 +208,13 @@ class TestOutputOption:
         result = runner.invoke(main, [*args, "--output", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert "--output" in result.output and "is a directory" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("args", COMMANDS, ids=lambda a: a[0])
+    def test_empty_file_name(self, runner, no_work, args):
+        result = runner.invoke(main, [*args, "--output", ""])
+        assert result.exit_code == 2, result.output
+        assert "--output" in result.output and "empty" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_bare_file_name_is_written(self, runner, tmp_path, monkeypatch):

@@ -17,10 +17,10 @@ from bruhatdual.duality import (
     certify_self_dual,
     duality_map,
     exhaustive_antiautomorphism_exists,
+    gamma_graphs_direct,
     gamma_lower,
     gamma_upper,
 )
-from bruhatdual.harness import gamma_graphs_direct
 from bruhatdual.intervals import (
     build_interval,
     degree_extremes,
