@@ -3,9 +3,10 @@
 one part per run, printed as one JSON line.
 
 - s9-sample: 40 six-pattern avoiders of S_9, drawn by shuffling with
-  random.Random(SEED) and kept by this script's own brute-force pattern
-  check; times build_interval and certify_self_dual with the assembled
-  decomposition as hint, in one fresh interpreter;
+  random.Random(SEED) and kept by the package-free brute-force pattern
+  check of scripts/census_bruteforce.py; times build_interval and
+  certify_self_dual with the assembled decomposition as hint, in one fresh
+  interpreter;
 - main-n7, main-n8: verify_main(n, sd4_mode="constructive-only", jobs=2),
   whose six-avoiders all take the hinted path;
 - s9-uniform: 2,000 uniform elements of S_9, drawn with random.Random(5);
@@ -25,20 +26,11 @@ import json
 import random
 import time
 from collections import Counter
-from itertools import combinations
+
+from census_bruteforce import SIX_PATTERNS, contains
 
 SEED = 9
 SAMPLE = 40
-SIX_PATTERNS = [(3, 4, 1, 2), (4, 2, 3, 1), (3, 4, 5, 2, 1), (4, 5, 3, 2, 1), (5, 4, 1, 2, 3), (5, 4, 3, 1, 2)]
-
-
-def contains(w: tuple[int, ...], p: tuple[int, ...]) -> bool:
-    k = len(p)
-    for idx in combinations(range(len(w)), k):
-        vals = [w[i] for i in idx]
-        if all((vals[a] < vals[b]) == (p[a] < p[b]) for a in range(k) for b in range(a + 1, k)):
-            return True
-    return False
 
 
 def six_avoiders(n: int, count: int, seed: int) -> list[tuple[int, ...]]:

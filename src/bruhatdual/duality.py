@@ -3,11 +3,12 @@ interval or, for a permutation, built straight from w; bipartite-graph
 isomorphism, the explicit duality map coming from a polished decomposition,
 and poset self-duality certification.  The hinted path checks the map's
 images by id.  The search looks for an isomorphism from [e, w] to its dual
-by refining one color array over both, which share one undirected Hasse
-diagram (McKay-Piperno 2014).  Refinement runs a worklist of splitter
-cells (Paige-Tarjan 1987) and revisits only the cells next to a split;
-after an individualization the new two-vertex cell is the only splitter.
-The halves' color multisets are compared once, on the stable partition.
+by refining their rank colors, one array over both, which share one
+undirected Hasse diagram (McKay-Piperno 2014).  Refinement runs a worklist
+of splitter cells (Paige-Tarjan 1987) and revisits only the cells next to a
+split; after an individualization the new two-vertex cell is the only
+splitter.  The halves' color multisets are compared once, on the stable
+partition.
 """
 
 from __future__ import annotations
@@ -387,12 +388,14 @@ def certify_self_dual(
     verify by id that the images lie in [e, w], form a bijection and reverse
     the covers; a hint failing any of these raises ValueError.  Without one,
     refute at the first failing check of three: a symmetric rank profile;
-    equal multisets of atom up-degrees and coatom down-degrees, the rank-1
-    slice of the third; equal multisets of (rank, up, down) colors of [e, w]
-    and its dual.  Then search for an order-reversing bijection of the Hasse
-    diagram by iterated color refinement of [e, w] and its dual over their
-    shared undirected Hasse diagram, with individualization; refutation
-    means the search space is exhausted.
+    equal multisets of atom up-degrees and coatom down-degrees; equal color
+    multisets of [e, w] and its dual once their rank colors are refined to
+    the coarsest equitable partition over their shared undirected Hasse
+    diagram.  That partition separates vertices by up- and down-degree,
+    their neighbor counts in the rank cells above and below, so the second
+    check is its rank-1 slice.  Then search for an order-reversing bijection
+    by individualization and refinement; refutation means the search space
+    is exhausted.
     """
     if decomp_hint is not None:
         dual = DualityMap(interval.top, decomp_hint)
@@ -407,10 +410,11 @@ def certify_self_dual(
         return DualityCertificate("refuted", trace, interval, None)
 
     atom_up, coatom_down = interval.atom_coatom_degrees()
-    colors = _initial_colors(interval) if sorted(atom_up) == sorted(coatom_down) else None
-    if colors is not None:
+    colors = None
+    if sorted(atom_up) == sorted(coatom_down):
         hasse = _hasse_diagram(interval)
-        colors = _refine_to_stable(hasse, colors)
+        ranks = interval.rank + [interval.top_rank - r for r in interval.rank]
+        colors = _refine_to_stable(hasse, ranks)
         image = _search_antiautomorphism(interval, hasse, colors)
         if image is not None:
             return DualityCertificate("explicit-bijection", None, interval, image)
@@ -485,28 +489,17 @@ def _refine_to_stable(
     return colors if Counter(colors[:size]) == Counter(colors[size:]) else None
 
 
-def _initial_colors(interval: BruhatInterval) -> Optional[list[int]]:
-    """(rank, up-degree, down-degree) colors of [e, w] and its dual, a dual
-    vertex taking its rank in the dual and its degrees swapped; None when the
-    two halves' multisets differ, which needs no refinement and no down lists."""
-    size, top_rank = interval.size, interval.top_rank
-    ups, downs = interval.degrees()
-    ranks = interval.rank + [top_rank - r for r in interval.rank]
-    table: dict[tuple, int] = {}
-    colors = [table.setdefault(key, len(table)) for key in zip(ranks, ups + downs, downs + ups)]
-    return colors if Counter(colors[:size]) == Counter(colors[size:]) else None
-
-
 def _search_antiautomorphism(
     interval: BruhatInterval, hasse: list[list[int]], colors: Optional[list[int]]
 ) -> Optional[list[int]]:
     """Backtracking individualization-refinement from stable ``colors`` of
-    [e, w] and its dual over ``hasse``; returns ids mapping x to its image
-    under some order-reversing bijection, or None (at once when ``colors`` is
-    None).  x and each candidate image, of one rank, share a fresh color.
-    That two-vertex cell is the only splitter the refinement needs: every
-    other cell was already equitable, and the rest of the old cell counts as
-    the old cell less the new one."""
+    [e, w] and its dual over ``hasse``, at the root their refined rank
+    colors; returns ids mapping x to its image under some order-reversing
+    bijection, or None (at once when ``colors`` is None).  x and each
+    candidate image, of one rank, share a fresh color.  That two-vertex cell
+    is the only splitter the refinement needs: every other cell was already
+    equitable, and the rest of the old cell counts as the old cell less the
+    new one."""
     if colors is None:
         return None
     size = interval.size

@@ -348,7 +348,10 @@ def verify_counterexamples() -> VerificationReport:
 
 
 def analyze(w: Permutation) -> dict:
-    """Every predicate of interest for one permutation, as a JSON-ready dict."""
+    """Every predicate of interest for one permutation, as a JSON-ready dict.
+    ``polished`` is SD3, the assembly of a polished decomposition tried on
+    every w as in the sweeps; the decomposition, when there is one, is the
+    hint that certifies self-duality, and the search certifies the rest."""
     from .serialize import decomposition_to_dict
 
     lw = w.length()
@@ -362,20 +365,18 @@ def analyze(w: Permutation) -> dict:
         "smooth": witness is None or witness.pattern.n == 5,
     }
     out["six_avoiding"] = witness is None
-    if witness is None:
+    decomp: Optional[PolishedDecomposition]
+    try:
         decomp = assemble_decomposition(w)
-        out["polished"] = True
-        out["decomposition"] = decomposition_to_dict(decomp)
-        out["pattern_witness"] = None
-        cert = certify_self_dual(interval, decomp)
-    else:
-        out["polished"] = False
-        out["decomposition"] = None
-        out["pattern_witness"] = {
-            "pattern": witness.pattern.one_line(),
-            "indices": list(witness.indices),
-        }
-        cert = certify_self_dual(interval)
+    except NotPolishedError:
+        decomp = None
+    out["polished"] = decomp is not None
+    out["decomposition"] = None if decomp is None else decomposition_to_dict(decomp)
+    out["pattern_witness"] = None if witness is None else {
+        "pattern": witness.pattern.one_line(),
+        "indices": list(witness.indices),
+    }
+    cert = certify_self_dual(interval, decomp)
     if lw >= 2:
         lower, upper = gamma_lower(interval), gamma_upper(interval)
         out["gamma_isomorphic"] = bipartite_isomorphic(lower, upper) is not None

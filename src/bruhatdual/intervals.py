@@ -95,9 +95,9 @@ class BruhatInterval:
     ``offsets[j]:offsets[j + 1]``.  ``rank``, the sorted down lists
     ``down``, ``index`` and ``elements``, the one place its ids become
     element objects (through the class constructor, which validates them),
-    are built on first read; ``degrees``, ``atom_coatom_degrees`` and
-    ``gids_at_rank`` need no ``down``.  Immutable apart from those caches;
-    safe to share between threads.
+    are built on first read; ``atom_coatom_degrees`` and ``gids_at_rank``
+    need no ``down``.  Immutable apart from those caches; safe to share
+    between threads.
     """
 
     top: Element
@@ -135,12 +135,6 @@ class BruhatInterval:
     def down(self) -> list[list[int]]:
         position, covers = self._position.__getitem__, self.graph.covers
         return [sorted(map(position, covers[g])) for g in self.gids]
-
-    def degrees(self) -> tuple[list[int], list[int]]:
-        """The up- and down-degrees of the ids, read off the cover graph."""
-        covers = list(map(self.graph.covers.__getitem__, self.gids))
-        up = Counter(chain.from_iterable(covers))
-        return [up[g] for g in self.gids], list(map(len, covers))
 
     def atom_coatom_degrees(self) -> tuple[list[int], list[int]]:
         """The atoms' up-degrees and the coatoms' down-degrees, off the cover graph."""

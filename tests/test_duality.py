@@ -11,7 +11,6 @@ from bruhatdual.duality import (
     DualityMap,
     LevelGraph,
     _hasse_diagram,
-    _initial_colors,
     _refine_to_stable,
     bipartite_isomorphic,
     certify_self_dual,
@@ -29,7 +28,12 @@ from bruhatdual.intervals import (
 )
 from bruhatdual.permutations import Permutation, identity, parse_permutation
 from bruhatdual.polished import polished_decompose
-from bruhatdual.signed import CoxeterPresentation, SignedPermutation, group_elements
+from bruhatdual.signed import (
+    CoxeterPresentation,
+    SignedPermutation,
+    evaluate_word,
+    group_elements,
+)
 
 # the two level graphs of [e, 34521], transcribed as labeled edge sets
 GAMMA_LOWER_34521 = {
@@ -162,6 +166,28 @@ def round_refine(hasse, colors):
         if len(table) == count:
             return new
         colors, count = new, len(table)
+
+
+def rank_colors(interval):
+    """The search's root colors: the ranks of [e, w] (ids x) and of its dual
+    (ids size + x), where x takes rank top_rank - rank[x]."""
+    return interval.rank + [interval.top_rank - r for r in interval.rank]
+
+
+def degree_colors(interval):
+    """Reference root colors read off ``down``: (rank, up-degree, down-degree)
+    of [e, w] and its dual, a dual vertex taking its rank in the dual and its
+    degrees swapped; None when the halves' multisets part."""
+    size, down = interval.size, interval.down
+    downs = list(map(len, down))
+    ups = [0] * size
+    for ys in down:
+        for y in ys:
+            ups[y] += 1
+    table = {}
+    keys = zip(rank_colors(interval), ups + downs, downs + ups)
+    colors = [table.setdefault(key, len(table)) for key in keys]
+    return colors if Counter(colors[:size]) == Counter(colors[size:]) else None
 
 
 def first_occurrence(colors):
@@ -480,16 +506,39 @@ class TestCertify:
     )
     def test_atoms_check_within_root_colors(self, ws):
         # the atoms' up-degrees against the coatoms' down-degrees are the
-        # rank-1 slice of the root colors, so they never refute what the
-        # root colors accept
+        # rank-1 slice of the refined rank colors, so they never refute what
+        # the refinement accepts
         differ = 0
         for w in ws:
             interval = build_interval(w)
             atom_up, coatom_down = interval.atom_coatom_degrees()
             if sorted(atom_up) != sorted(coatom_down):
-                assert _initial_colors(interval) is None
+                assert _refine_to_stable(_hasse_diagram(interval), rank_colors(interval)) is None
                 differ += 1
         assert differ
+
+    @pytest.mark.parametrize(
+        "ws",
+        [
+            [Permutation(im) for n in range(1, 7) for im in all_one_lines(n)],
+            list(group_elements(CoxeterPresentation("B", 3))),
+        ],
+        ids=["S1-6", "B3"],
+    )
+    def test_rank_and_degree_starts_agree(self, ws):
+        # an equitable partition finer than the ranks separates degrees, the
+        # neighbor counts in the rank cells above and below, so refining the
+        # rank colors reaches the partition the degree colors reach
+        parted = 0
+        for w in ws:
+            interval = build_interval(w)
+            hasse = _hasse_diagram(interval)
+            start = degree_colors(interval)
+            refined = None if start is None else _refine_to_stable(hasse, start)
+            expected = first_occurrence(refined)
+            assert first_occurrence(_refine_to_stable(hasse, rank_colors(interval))) == expected
+            parted += start is None
+        assert parted
 
     def test_atoms_refutation_builds_no_whole_interval_lists(self):
         refuted = 0
@@ -501,7 +550,7 @@ class TestCertify:
                 cert = certify_self_dual(interval)
                 assert {"down", "rank", "elements", "_position"}.isdisjoint(vars(interval))
                 assert cert.kind == "refuted"
-                assert _initial_colors(interval) is None
+                assert degree_colors(interval) is None
                 assert cert.refinement_trace == (
                     "degree/rank color multisets of the interval and its dual differ"
                 )
@@ -609,12 +658,9 @@ class TestCertify:
 
         for w in ws:
             interval = build_interval(w)
-            union_rank = interval.rank + [interval.top_rank - r for r in interval.rank]
+            union_rank = rank_colors(interval)
             hasse = _hasse_diagram(interval)
-            colors = _initial_colors(interval)
-            if colors is None:
-                continue
-            colors = _refine_to_stable(hasse, colors)
+            colors = _refine_to_stable(hasse, list(union_rank))
             if colors is None:
                 continue
             assert_one_rank(colors, union_rank)
@@ -640,9 +686,7 @@ class TestCertify:
         for w in ws:
             interval = build_interval(w)
             hasse = _hasse_diagram(interval)
-            colors = _initial_colors(interval)
-            if colors is None:
-                continue
+            colors = rank_colors(interval)
             expected = first_occurrence(round_refine(hasse, colors))
             colors = _refine_to_stable(hasse, list(colors))
             assert first_occurrence(colors) == expected
@@ -656,15 +700,21 @@ class TestCertify:
         assert trials
 
     def test_refinement_halves_part(self):
-        # no interval of S_1..S_6 or B_3 reaches this branch: the multisets
-        # agree at the start and part once vertex 0, a color-0 vertex with a
-        # color-1 neighbor, finds no match in the dual half, whose two
-        # color-0 vertices are each other's neighbors
+        # the multisets agree at the start and part once vertex 0, a color-0
+        # vertex with a color-1 neighbor, finds no match in the dual half,
+        # whose two color-0 vertices are each other's neighbors
         hasse = [[1], [0], [], []]
         colors = [0, 1, 0, 1, 0, 0, 1, 1]
         assert Counter(colors[:4]) == Counter(colors[4:])
         assert round_refine(hasse, colors) is None
         assert _refine_to_stable(hasse, list(colors)) is None
+        # B_3's counterexample passes the atoms check and parts here, from
+        # its rank colors, whose multisets agree
+        el = evaluate_word((3, 2, 3, 1, 2, 3, 1, 2), CoxeterPresentation("B", 3)).element
+        interval = build_interval(el)
+        atom_up, coatom_down = interval.atom_coatom_degrees()
+        assert sorted(atom_up) == sorted(coatom_down)
+        assert _refine_to_stable(_hasse_diagram(interval), rank_colors(interval)) is None
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_self_dual_implies_gamma_iso(self, n):

@@ -8,6 +8,7 @@ from oracle_utils import brute_leq
 from bruhatdual import duality, harness
 from bruhatdual.intervals import subword_downset
 from bruhatdual.permutations import Permutation, tableau_leq
+from bruhatdual.polished import NotPolishedError
 
 
 def failing_on(real, is_target, exc):
@@ -54,6 +55,20 @@ class TestElementFailures:
         assert report.violations == [
             {"n": 4, "w": "2143", "stage": "build_interval", "error": "RuntimeError: boom"}
         ]
+
+
+class TestAnalyze:
+    def test_failed_assembly_is_reported(self, monkeypatch):
+        # analyze computes SD3 on every w: a six-avoider whose assembly fails
+        # is reported unpolished, without a hint, and the search certifies it
+        real = harness.assemble_decomposition
+        monkeypatch.setattr(
+            harness, "assemble_decomposition", failing_on(real, is_2143, NotPolishedError("boom"))
+        )
+        report = harness.analyze(Permutation((2, 1, 4, 3)))
+        assert report["six_avoiding"] is True
+        assert (report["polished"], report["decomposition"]) == (False, None)
+        assert report["self_dual_certificate"] == "explicit-bijection"
 
 
 class TestJobs:
