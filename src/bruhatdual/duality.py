@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .intervals import BruhatInterval, bruhat_leq, rank_profile
-from .permutations import Permutation, tableau_leq
+from .permutations import (
+    Permutation,
+    inverse_indices,
+    tableau_leq,
+    young_reversal,
+    young_windows,
+)
 from .polished import PolishedDecomposition
 from .signed import Element
 
@@ -210,28 +216,6 @@ def bipartite_isomorphic(
 # -- duality map -------------------------------------------------------------------
 
 
-def _windows(gens: frozenset[int]) -> tuple[tuple[int, int], ...]:
-    """Position slices [lo, hi) (0-based) of the Young subgroup of S_n
-    generated by ``gens``: a run a..b of consecutive generators moves
-    positions a..b+1."""
-    out: list[tuple[int, int]] = []
-    for i in sorted(gens):
-        if out and out[-1][1] == i:
-            out[-1] = (out[-1][0], i + 1)
-        else:
-            out.append((i - 1, i + 1))
-    return tuple(out)
-
-
-def _reversal(n: int, gens: frozenset[int]) -> tuple[int, ...]:
-    """w_0 of the Young subgroup generated by ``gens``, 0-based: the positions
-    reversed within each window."""
-    im = list(range(n))
-    for lo, hi in _windows(gens):
-        im[lo:hi] = im[lo:hi][::-1]
-    return tuple(im)
-
-
 def _split(
     x: tuple[int, ...], windows: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -242,11 +226,6 @@ def _split(
     for lo, hi in windows:
         order[lo:hi] = sorted(range(lo, hi), key=x.__getitem__)
     return tuple(map(x.__getitem__, order)), tuple(order)
-
-
-def _inverse(order: tuple[int, ...]) -> list[int]:
-    """The inverse of a 0-based permutation."""
-    return sorted(range(len(order)), key=order.__getitem__)
 
 
 class DualityMap:
@@ -284,11 +263,11 @@ class DualityMap:
         # 0-based index tuples, and the memos of g_k and of map_{k-1}
         self._levels = [
             (
-                _windows(b.S),
-                _windows(b.Jp),
-                _reversal(n, b.J),
-                _reversal(n, b.J & b.Jp),
-                _reversal(n, b.Jp),
+                young_windows(b.S),
+                young_windows(b.Jp),
+                young_reversal(n, b.J),
+                young_reversal(n, b.J & b.Jp),
+                young_reversal(n, b.Jp),
                 {},
                 {},
             )
@@ -314,8 +293,8 @@ class DualityMap:
         g = factors.get(u_inverse)
         if g is None:
             # u = q' p' across J'; g = w_0(J) q' w_0(J and J') p' w_0(J'), 0-based
-            quotient, p_inverse = _split(_inverse(u_inverse), jp_windows)
-            p = _inverse(p_inverse)
+            quotient, p_inverse = _split(inverse_indices(u_inverse), jp_windows)
+            p = inverse_indices(p_inverse)
             g = factors[u_inverse] = tuple([w0_j[quotient[w0_meet[p[i]]]] for i in w0_jp])
         return tuple(map(head.__getitem__, g))
 

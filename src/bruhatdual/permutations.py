@@ -12,6 +12,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -80,10 +81,7 @@ class Permutation:
         >>> Permutation((3, 4, 5, 2, 1)).inverse().one_line()
         '54123'
         """
-        inv = [0] * self.n
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Permutation(tuple(inv))
+        return Permutation(tuple(i + 1 for i in inverse_indices(self.images)))
 
     def times_simple_right(self, i: int) -> Permutation:
         """Multiply by s_i on the right (swap positions i, i+1)."""
@@ -198,6 +196,49 @@ def tableau_leq(u: tuple[int, ...], w: tuple[int, ...], prefixes: Iterable[int])
     return all(all(map(operator.le, sorted(u[:k]), sorted(w[:k]))) for k in prefixes)
 
 
+def inverse_indices(x: tuple[int, ...]) -> tuple[int, ...]:
+    """The 0-based positions of x's entries in increasing order of value:
+    the inverse of a 0-based tuple, and that of a one-line tuple with each
+    entry less 1.
+
+    >>> inverse_indices((3, 1, 2))
+    (1, 2, 0)
+    """
+    return tuple(sorted(range(len(x)), key=x.__getitem__))
+
+
+def young_windows(gens: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """Position slices [lo, hi) (0-based) of the Young subgroup of S_n
+    generated by ``gens``: a run a..b of consecutive generators moves
+    positions a..b+1.
+
+    >>> young_windows({1, 2, 4})
+    ((0, 3), (3, 5))
+    """
+    out: list[tuple[int, int]] = []
+    for i in sorted(gens):
+        if out and out[-1][1] == i:
+            out[-1] = (out[-1][0], i + 1)
+        else:
+            out.append((i - 1, i + 1))
+    return tuple(out)
+
+
+def young_reversal(n: int, gens: Iterable[int]) -> tuple[int, ...]:
+    """w_0 of the Young subgroup of S_n generated by ``gens``, as a 0-based
+    tuple r with each window reversed.  For a one-line tuple x,
+    ``tuple(x[j] for j in r)`` is x w_0 (positions reversed) and
+    ``tuple(r[v - 1] + 1 for v in x)`` is w_0 x (values reversed).
+
+    >>> young_reversal(5, {1, 2, 4})
+    (2, 1, 0, 4, 3)
+    """
+    im = list(range(n))
+    for lo, hi in young_windows(gens):
+        im[lo:hi] = im[lo:hi][::-1]
+    return tuple(im)
+
+
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic one-line order."""
     for im in itertools.permutations(range(1, n + 1)):
@@ -252,33 +293,52 @@ class PatternOccurrence:
 def contains_pattern(w: Permutation, p: Permutation) -> Optional[PatternOccurrence]:
     """Lexicographically least occurrence of p in w, or None if w avoids p.
 
-    Plain DFS over index tuples with pruning by partial relative order;
-    patterns here never exceed degree 5, so nothing fancier is warranted.
+    An iterative scan over positions, tried in increasing order at each
+    depth, backing up when a depth runs out of room.  The pattern's order
+    relations are compiled once: an entry fits at depth d when it lies
+    strictly between the entries chosen at the depths nearest to p's d-th
+    value from below and above, so each candidate costs two comparisons.
+
+    >>> contains_pattern(Permutation((4, 5, 3, 2, 1)), Permutation((3, 4, 2, 1))).indices
+    (1, 2, 3, 4)
     """
-    k = p.n
-    if k > w.n:
-        return None
-    pat = p.images
     im = w.images
-    n = w.n
-    chosen: list[int] = []
-
-    def extend(start: int) -> Optional[tuple[int, ...]]:
-        depth = len(chosen)
-        if depth == k:
-            return tuple(i + 1 for i in chosen)
-        for i in range(start, n - (k - depth) + 1):
-            v = im[i]
-            ok = all((im[c] < v) == (pat[d] < pat[depth]) for d, c in enumerate(chosen))
-            if ok:
-                chosen.append(i)
-                hit = extend(i + 1)
-                if hit is not None:
-                    return hit
-                chosen.pop()
+    n, k = len(im), p.n
+    if k > n:
         return None
+    bounds = _pattern_bounds(p.images)
+    chosen = [0] * k  # positions picked at depths 0 .. depth-1
+    values = [0] * k
+    depth, i = 0, 0
+    while depth < k:
+        lo, hi = bounds[depth]
+        floor = values[lo] if lo >= 0 else 0
+        ceil = values[hi] if hi >= 0 else n + 1
+        last = n - k + depth  # leave room for the deeper entries
+        while i <= last and not floor < im[i] < ceil:
+            i += 1
+        if i > last:
+            if not depth:
+                return None
+            depth -= 1
+            i = chosen[depth] + 1
+            continue
+        chosen[depth], values[depth] = i, im[i]
+        depth += 1
+        i += 1
+    return PatternOccurrence(p, tuple(c + 1 for c in chosen))
 
-    found = extend(0)
-    if found is None:
-        return None
-    return PatternOccurrence(p, found)
+
+@functools.lru_cache(maxsize=64)
+def _pattern_bounds(pat: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Per depth d, the earlier depths whose values in ``pat`` are nearest
+    below and above pat[d], or -1 where there is none."""
+    out = []
+    for d, v in enumerate(pat):
+        below = [c for c in range(d) if pat[c] < v]
+        above = [c for c in range(d) if pat[c] > v]
+        out.append((
+            max(below, key=pat.__getitem__) if below else -1,
+            min(above, key=pat.__getitem__) if above else -1,
+        ))
+    return tuple(out)

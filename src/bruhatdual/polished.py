@@ -8,20 +8,29 @@ by repeatedly classifying the region structure around the entries (1, w(1))
 and (w^{-1}(1), 1) and multiplying away a longest parabolic element; the
 recorded generator windows chain into blocks whose alternating unions give
 the J / J' covers.
+
+The classification, the reduction and the assembly run on one-line tuples:
+w_0 of a window of consecutive generators reverses values (on the left) or
+positions (on the right), s_b swaps two values or two positions, and the
+closing reconstruction check multiplies the blocks' Young-subgroup reversals
+(`permutations.young_reversal`).  classify_type and decompose_step wrap the
+tuple core, building TypeTag and Permutation only at the boundary;
+reconstruct stays generic over both element kinds.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .intervals import build_interval, longest_parabolic
 from .permutations import (
     Permutation,
     PatternOccurrence,
     contains_pattern,
-    identity,
+    inverse_indices,
+    young_reversal,
 )
 from .signed import CoxeterPresentation, Element
 
@@ -96,53 +105,51 @@ def classify_type(w: Permutation) -> TypeTag:
     Raises when the region structure is inconsistent with smoothness, or when
     the r0/r1 refinement would need the 45321-type region to be nonempty.
     """
-    n = w.n
-    v1 = w(1)
-    pos1 = w.inverse()(1)
-    chain = tuple(a for a in range(1, pos1 + 1) if w(a) <= v1)
+    return TypeTag(*_classify(w.images))
+
+
+def _text(x: tuple[int, ...]) -> str:
+    return Permutation(x).one_line()
+
+
+def _classify(x: tuple[int, ...]) -> tuple[str, int, tuple[int, ...]]:
+    """classify_type on a one-line tuple, as (tag, t, c_chain)."""
+    v1 = x[0]
+    pos1 = x.index(1) + 1
+    head = x[:pos1]
+    chain = tuple(a for a, v in enumerate(head, 1) if v <= v1)
     t = len(chain) - 1
-    vals = [w(a) for a in chain]
-    if any(vals[i] <= vals[i + 1] for i in range(len(vals) - 1)):
-        raise NotPolishedError(f"staircase of {w.one_line()} not decreasing: contains 4231")
-    R = [a for a in range(2, pos1) if w(a) > v1]
-    L = [a for a in range(pos1 + 1, n + 1) if 1 < w(a) < v1]
+    vals = [v for v in head if v <= v1]
+    if vals != sorted(vals, reverse=True):
+        raise NotPolishedError(f"staircase of {_text(x)} not decreasing: contains 4231")
+    R = [a for a, v in enumerate(head, 1) if v > v1]
+    L = any(1 < v < v1 for v in x[pos1:])
     if R and L:
-        raise NotPolishedError(f"{w.one_line()} has both side regions nonempty: contains 3412")
+        raise NotPolishedError(f"{_text(x)} has both side regions nonempty: contains 3412")
     if not R and not L:
-        return TypeTag("n", t, chain)
+        return "n", t, chain
     if R:
-        return TypeTag(_r_refinement(w, chain, R), t, chain)
-    mirror = classify_type(w.inverse())
-    if mirror.tag not in ("r0", "r1") or mirror.t != t:
-        raise AssertionError(f"inconsistent mirror classification for {w.one_line()}")
-    return TypeTag("l" + mirror.tag[1], t, chain)
+        return _r_refinement(x, chain, R), t, chain
+    mirror_tag, mirror_t, _ = _classify(tuple([i + 1 for i in inverse_indices(x)]))
+    if mirror_tag not in ("r0", "r1") or mirror_t != t:
+        raise AssertionError(f"inconsistent mirror classification for {_text(x)}")
+    return "l" + mirror_tag[1], t, chain
 
 
-def _r_refinement(w: Permutation, chain: tuple[int, ...], R: list[int]) -> str:
+def _r_refinement(x: tuple[int, ...], chain: tuple[int, ...], R: list[int]) -> str:
     t = len(chain) - 1
     if t == 1:
         return "r0"
     r2 = [a for a in R if a < chain[t - 2]]
     if r2:
         raise NotPolishedError(
-            f"region below the staircase head of {w.one_line()} nonempty: contains 45321"
+            f"region below the staircase head of {_text(x)} nonempty: contains 45321"
         )
     r1 = [a for a in R if chain[t - 2] < a < chain[t - 1]]
     return "r1" if r1 else "r0"
 
 
 # -- one-step reduction -----------------------------------------------------------
-
-
-def _leading_fixed_points(w: Permutation) -> int:
-    m = 0
-    while m < w.n and w(m + 1) == m + 1:
-        m += 1
-    return m
-
-
-def _renormalize(w: Permutation, m: int) -> Permutation:
-    return Permutation(tuple(w(i) - m for i in range(m + 1, w.n + 1)))
 
 
 def decompose_step(w: Permutation) -> tuple[Permutation, tuple[int, ...], TypeTag]:
@@ -156,39 +163,55 @@ def decompose_step(w: Permutation) -> tuple[Permutation, tuple[int, ...], TypeTa
     w' is checked against the tabulated residual window; a violation means the
     six-pattern precondition did not hold.
     """
-    m = _leading_fixed_points(w)
-    if m == w.n:
+    x, m, (tag, t, chain) = _step(w.images)
+    K = tuple(range(m + 1, m + t + 1))
+    return Permutation(x), K, TypeTag(tag, t, tuple(c + m for c in chain))
+
+
+def _step(x: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[str, int, tuple[int, ...]]]:
+    """decompose_step on a one-line tuple: (x', m, local classification),
+    where m counts x's leading fixed points, the classification is that of x
+    with them stripped, and K is m+1 .. m+t.  w_0(K) reverses the values
+    m+1 .. m+t+1 of x on the left and the positions on the right, and s_b
+    swaps two values on the left and two positions on the right."""
+    n = len(x)
+    m = 0
+    while m < n and x[m] == m + 1:
+        m += 1
+    if m == n:
         raise ValueError("identity admits no reduction step")
-    local = classify_type(_renormalize(w, m))
-    t = local.t
+    local = _classify(tuple(v - m for v in x[m:]))
+    tag, t, _ = local
     b = m + t
-    K = tuple(range(m + 1, b + 1))
-    w0k = longest_parabolic(identity(w.n), K)
-    tag = local.tag
-    if tag == "n":
-        w_prime = w0k * w
-        if w_prime != w * w0k:
-            raise NotPolishedError(f"type-n step of {w.one_line()} fails to commute: bad input")
-        support_floor = b + 2
-    elif tag == "r0":
-        w_prime = w0k * w
-        support_floor = b + 1
-    elif tag == "r1":
-        w_prime = (w0k * w).times_simple_left(b)
-        support_floor = b
-    elif tag == "l0":
-        w_prime = w * w0k
-        support_floor = b + 1
-    else:  # l1
-        w_prime = (w * w0k).times_simple_right(b)
-        support_floor = b
-    if any(i < support_floor for i in w_prime.support()):
+    w0 = young_reversal(n, range(m + 1, b + 1))
+    if tag in ("n", "r0", "r1"):
+        out = [w0[v - 1] + 1 for v in x]
+        if tag == "n":
+            if out != [x[j] for j in w0]:
+                raise NotPolishedError(f"type-n step of {_text(x)} fails to commute: bad input")
+            support_floor = b + 2
+        elif tag == "r0":
+            support_floor = b + 1
+        else:
+            p, q = out.index(b), out.index(b + 1)
+            out[p], out[q] = out[q], out[p]
+            support_floor = b
+    else:
+        out = [x[j] for j in w0]
+        if tag == "l0":
+            support_floor = b + 1
+        else:
+            out[b - 1], out[b] = out[b], out[b - 1]
+            support_floor = b
+    # the support of x' misses every generator below support_floor exactly
+    # when x' fixes 1 .. support_floor - 1
+    fixed = min(support_floor - 1, n)
+    if out[:fixed] != list(range(1, fixed + 1)):
         raise NotPolishedError(
-            f"step output {w_prime.one_line()} escapes its window: "
-            f"{w.one_line()} violates the pattern precondition"
+            f"step output {_text(tuple(out))} escapes its window: "
+            f"{_text(x)} violates the pattern precondition"
         )
-    ambient = TypeTag(tag, t, tuple(c + m for c in local.c_chain))
-    return w_prime, K, ambient
+    return tuple(out), m, local
 
 
 # -- full decomposition -------------------------------------------------------------
@@ -222,14 +245,16 @@ def assemble_decomposition(w: Permutation) -> PolishedDecomposition:
     Raises NotPolishedError whenever the structure breaks down, which on
     unchecked input is simply the signal that w is not polished.
     """
-    if w.is_identity():
+    n = w.n
+    e = tuple(range(1, n + 1))
+    if w.images == e:
         return PolishedDecomposition(())
 
     steps: list[tuple[tuple[int, ...], str]] = []
-    x = w
-    while not x.is_identity():
-        x, K, tag = decompose_step(x)
-        steps.append((K, tag.tag))
+    x = w.images
+    while x != e:
+        x, m, (tag, t, _) = _step(x)
+        steps.append((tuple(range(m + 1, m + t + 1)), tag))
 
     # adjacency bookkeeping between consecutive windows
     for (K1, tag1), (K2, _) in zip(steps, steps[1:]):
@@ -285,7 +310,12 @@ def assemble_decomposition(w: Permutation) -> PolishedDecomposition:
             ordered.append(block)
     decomp = PolishedDecomposition(tuple(ordered))
 
-    if reconstruct(decomp, CoxeterPresentation("A", w.n - 1)) != w:
+    # the block triples' product, each w_0 a Young-subgroup reversal of positions
+    validate_decomposition(decomp, CoxeterPresentation("A", n - 1))
+    product = e
+    for gens in _block_factors(decomp):
+        product = tuple(map(product.__getitem__, young_reversal(n, gens)))
+    if product != w.images:
         raise NotPolishedError(f"reconstruction mismatch for {w.one_line()}")
     return decomp
 
@@ -333,14 +363,18 @@ def reconstruct(decomp: PolishedDecomposition, diagram: CoxeterPresentation) -> 
     validate_decomposition(decomp, diagram)
     e = diagram.identity()
     out = e
-    for block in decomp.blocks:
-        out = (
-            out
-            * longest_parabolic(e, block.J)
-            * longest_parabolic(e, block.J & block.Jp)
-            * longest_parabolic(e, block.Jp)
-        )
+    for gens in _block_factors(decomp):
+        out = out * longest_parabolic(e, gens)
     return out
+
+
+def _block_factors(decomp: PolishedDecomposition) -> Iterator[frozenset[int]]:
+    """The generator sets J, J and J', J' of each block in turn, whose longest
+    elements multiply left to right to the decomposed element."""
+    for block in decomp.blocks:
+        yield block.J
+        yield block.J & block.Jp
+        yield block.Jp
 
 
 # -- brute-force polished test ------------------------------------------------------

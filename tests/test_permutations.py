@@ -119,7 +119,7 @@ class TestPatterns:
         occ = contains_pattern(w, p)
         assert occ.indices == min(brute_occurrences(w.images, p.images))
 
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [4, 5, 6])
     def test_agrees_with_bruteforce(self, n):
         pats = [Permutation(p) for p in SIX_PATTERNS]
         for im in all_one_lines(n):

@@ -4,7 +4,14 @@ import runpy
 import pytest
 
 from conftest import longest_permutation
-from oracle_utils import SIX_AVOIDING_COUNTS, SMOOTH_COUNTS, all_one_lines, brute_avoids_all
+from oracle_utils import (
+    SIX_AVOIDING_COUNTS,
+    SIX_PATTERNS,
+    SMOOTH_COUNTS,
+    all_one_lines,
+    brute_avoids_all,
+    brute_occurrences,
+)
 
 from bruhatdual.diagrams import type_a_diagram, type_b_diagram
 from bruhatdual.intervals import (
@@ -14,10 +21,12 @@ from bruhatdual.intervals import (
 )
 from bruhatdual.permutations import Permutation, identity, parse_permutation
 from bruhatdual.polished import (
+    SELFDUAL_PATTERNS,
     NotPolishedError,
     PatternWitnessError,
     PolishedBlock,
     PolishedDecomposition,
+    TypeTag,
     assemble_decomposition,
     avoids_selfdual_patterns,
     avoids_smooth_patterns,
@@ -26,6 +35,7 @@ from bruhatdual.polished import (
     is_polished_bruteforce,
     polished_decompose,
     reconstruct,
+    selfdual_pattern_witness,
 )
 from bruhatdual.signed import CoxeterPresentation, group_elements
 
@@ -50,6 +60,59 @@ class TestPatternPredicates:
     def test_matches_bruteforce(self, n):
         for im in all_one_lines(n):
             assert avoids_selfdual_patterns(Permutation(im)) == brute_avoids_all(im)
+
+
+    def test_witness_matches_bruteforce_s7(self):
+        # the witness analyze reports: the first of the six patterns, in this
+        # order, that occurs at all, at its lexicographically least indices
+        assert [p.images for p in SELFDUAL_PATTERNS] == list(SIX_PATTERNS)
+        for n in range(1, 8):
+            for im in all_one_lines(n):
+                expected = None
+                for pat in SIX_PATTERNS:
+                    hits = list(brute_occurrences(im, pat))
+                    if hits:
+                        expected = (pat, min(hits))
+                        break
+                occ = selfdual_pattern_witness(Permutation(im))
+                got = None if occ is None else (occ.pattern.images, occ.indices)
+                assert got == expected, im
+
+
+class TestNotPolishedText:
+    # the full NotPolishedError text of each kind that fires on S_<=7; texts
+    # raised while classifying name the permutation classified, which is the
+    # renormalized tail after leading fixed points and, for l types, the
+    # inverse
+    @pytest.mark.parametrize(
+        "w, text",
+        [
+            ("4231", "staircase of 4231 not decreasing: contains 4231"),
+            ("3412", "3412 has both side regions nonempty: contains 3412"),
+            ("45321", "region below the staircase head of 45321 nonempty: contains 45321"),
+            ("34521", "overlapping steps fail to alternate: ['r1', 'r1']"),
+            ("54123", "overlapping steps fail to alternate: ['l1', 'l1']"),
+            ("15342", "staircase of 4231 not decreasing: contains 4231"),
+            ("14523", "3412 has both side regions nonempty: contains 3412"),
+            ("54312", "region below the staircase head of 45321 nonempty: contains 45321"),
+        ],
+    )
+    def test_assembly_text(self, w, text):
+        with pytest.raises(NotPolishedError) as info:
+            assemble_decomposition(parse_permutation(w))
+        assert str(info.value) == text
+
+    def test_step_text_names_renormalized_tail(self):
+        with pytest.raises(NotPolishedError) as info:
+            decompose_step(parse_permutation("1265734"))
+        assert str(info.value) == "43512 has both side regions nonempty: contains 3412"
+
+    def test_boundary_types(self):
+        tag = classify_type(parse_permutation("34521"))
+        assert type(tag) is TypeTag
+        w1, K, tag = decompose_step(parse_permutation("125643"))
+        assert type(w1) is Permutation and type(tag) is TypeTag
+        assert (w1.one_line(), K, tag) == ("123654", (3, 4), TypeTag("r1", 2, (3, 5, 6)))
 
 
 class TestClassifyType:
