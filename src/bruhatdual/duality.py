@@ -1,14 +1,14 @@
 """Level graphs between the extreme rank pairs of [e, w], read off the
-interval or, for a permutation, built straight from w; bipartite-graph
-isomorphism, the explicit duality map coming from a polished decomposition,
-and poset self-duality certification.  The hinted path checks the map's
-images by id.  The search looks for an isomorphism from [e, w] to its dual
-by refining their rank colors, one array over both, which share one
-undirected Hasse diagram (McKay-Piperno 2014).  Refinement runs a worklist
-of splitter cells (Paige-Tarjan 1987) and revisits only the cells next to a
-split; after an individualization the new two-vertex cell is the only
-splitter.  The halves' color multisets are compared once, on the stable
-partition.
+interval or, for a permutation, built straight from w, and their isomorphism,
+matched on the pair of small vertices each big one touches; the explicit
+duality map coming from a polished decomposition, and poset self-duality
+certification.  The hinted path checks the map's images by id.  The search
+looks for an isomorphism from [e, w] to its dual by refining their rank
+colors, one array over both, which share one undirected Hasse diagram
+(McKay-Piperno 2014).  Refinement runs a worklist of splitter cells
+(Paige-Tarjan 1987) and revisits only the cells next to a split; after an
+individualization the new two-vertex cell is the only splitter.  The halves'
+color multisets are compared once, on the stable partition.
 """
 
 from __future__ import annotations
@@ -40,9 +40,12 @@ class LevelGraph:
 
     For the lower graph the small side is rank 1 and the big side rank 2; for
     the upper graph the small side is corank 1 and the big side corank 2.
-    Edges hold (small index, big index) pairs.  Vertex order is deterministic:
-    interval BFS ids on the interval route (``gamma_lower``/``gamma_upper``),
-    one-line order on the direct one (``gamma_graphs_direct``).
+    Edges hold (small index, big index) pairs.  A big vertex spans a length-2
+    interval with the bottom (lower) or the top (upper), and such an interval
+    has four elements (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.7),
+    so it has exactly two small neighbours (``big_pairs``).  Vertex order is
+    deterministic: interval BFS ids on the interval route (``gamma_lower``,
+    ``gamma_upper``), one-line order on the direct one (``gamma_graphs_direct``).
     """
 
     side: str  # "lower" or "upper"
@@ -56,11 +59,15 @@ class LevelGraph:
             deg[si] += 1
         return tuple(deg)
 
-    def big_neighborhoods(self) -> list[frozenset[int]]:
-        nbhd: list[set[int]] = [set() for _ in self.big]
+    def big_pairs(self) -> list[tuple[int, int]]:
+        """The two small neighbours of each big vertex; ValueError if a big
+        vertex has any other number, which only a broken graph can have."""
+        nbhd: list[list[int]] = [[] for _ in self.big]
         for si, bi in self.edges:
-            nbhd[bi].add(si)
-        return [frozenset(s) for s in nbhd]
+            nbhd[bi].append(si)
+        if any(len(nb) != 2 or nb[0] == nb[1] for nb in nbhd):
+            raise ValueError("a big vertex does not have exactly two small neighbours")
+        return [tuple(nb) for nb in nbhd]
 
 
 def _assemble(side: str, high: Iterable, low: Iterable, covers: list) -> LevelGraph:
@@ -153,63 +160,55 @@ def bipartite_isomorphic(
     """A side-respecting isomorphism g -> h as a map between one-line tuples,
     or None.
 
-    Small sides are matched by backtracking over degree-compatible
-    assignments (most-constrained vertices first); a candidate assignment
-    succeeds when it carries the multiset of big-side neighborhoods of g
-    onto that of h.
+    Each graph is read as a multigraph on its small side, one edge per big
+    vertex: the pair it touches.  Small vertices are matched by backtracking,
+    highest degree first and then always one with the most pairs into those
+    placed; a partial assignment stands only while the pair multiplicities
+    among the placed vertices agree.  Each big vertex of g then goes to an
+    unused big vertex of h with the image pair.
     """
     if len(g.small) != len(h.small) or len(g.big) != len(h.big):
         return None
-    if len(g.edges) != len(h.edges):
+    n, gpairs, hpairs = len(g.small), g.big_pairs(), h.big_pairs()
+    gdeg, hdeg = g.small_degrees(), h.small_degrees()
+    if sorted(gdeg) != sorted(hdeg):
         return None
-
-    def small_keys(lg: LevelGraph) -> list[tuple]:
-        deg = lg.small_degrees()
-        big_deg: Counter[int] = Counter(bi for _, bi in lg.edges)
-        nbhd_of_small: list[list[int]] = [[] for _ in lg.small]
-        for si, bi in lg.edges:
-            nbhd_of_small[si].append(big_deg[bi])
-        return [(deg[i], tuple(sorted(nbhd_of_small[i]))) for i in range(len(lg.small))]
-
-    gkeys, hkeys = small_keys(g), small_keys(h)
-    if Counter(gkeys) != Counter(hkeys):
-        return None
-
-    order = sorted(range(len(g.small)), key=lambda i: gkeys[i], reverse=True)
-    candidates = {i: [j for j in range(len(h.small)) if hkeys[j] == gkeys[i]] for i in order}
-    h_big_nbhds = Counter(h.big_neighborhoods())
-    g_big_raw = g.big_neighborhoods()
-
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
+    gm, hm = [[0] * n for _ in gdeg], [[0] * n for _ in gdeg]
+    for m, pairs in ((gm, gpairs), (hm, hpairs)):
+        for a, b in pairs:
+            m[a][b] += 1
+            m[b][a] += 1
+    order, links = [], [0] * n  # links: pairs into the vertices in order
+    rest = sorted(range(n), key=gdeg.__getitem__, reverse=True)
+    while rest:
+        i = max(rest, key=links.__getitem__)
+        rest.remove(i)
+        order.append(i)
+        for a in rest:
+            links[a] += gm[i][a]
+    image, used = [-1] * n, [False] * n  # image: small index of g -> of h
 
     def assign(k: int) -> bool:
-        if k == len(order):
-            mapped = Counter(frozenset(assignment[si] for si in nb) for nb in g_big_raw)
-            return mapped == h_big_nbhds
+        if k == n:
+            return True
         i = order[k]
-        for j in candidates[i]:
-            if j in used:
+        for j in range(n):
+            if used[j] or hdeg[j] != gdeg[i] or any(gm[i][a] != hm[j][image[a]] for a in order[:k]):
                 continue
-            assignment[i] = j
-            used.add(j)
+            image[i], used[j] = j, True
             if assign(k + 1):
                 return True
-            used.discard(j)
-            del assignment[i]
+            used[j] = False
         return False
 
     if not assign(0):
         return None
-
-    mapping = {g.small[i]: h.small[j] for i, j in assignment.items()}
-    # pair off big vertices with equal mapped neighborhoods
+    mapping = {x: h.small[j] for x, j in zip(g.small, image)}
     pool: dict[frozenset[int], list[int]] = {}
-    for bj, nb in enumerate(h.big_neighborhoods()):
-        pool.setdefault(nb, []).append(bj)
-    for bi, nb in enumerate(g_big_raw):
-        target = frozenset(assignment[si] for si in nb)
-        mapping[g.big[bi]] = h.big[pool[target].pop()]
+    for bj, pair in enumerate(hpairs):
+        pool.setdefault(frozenset(pair), []).append(bj)
+    for x, (a, b) in zip(g.big, gpairs):
+        mapping[x] = h.big[pool[frozenset((image[a], image[b]))].pop()]
     return mapping
 
 

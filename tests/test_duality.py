@@ -88,6 +88,15 @@ def labeled_edges(g):
     return {(g.small[si], g.big[bi]) for si, bi in g.edges}
 
 
+def pair_graph(pairs):
+    """A lower LevelGraph whose big vertex k touches the small vertices in
+    ``pairs[k]``; small vertices are (0, i), big ones (1, k)."""
+    small = tuple((0, i) for i in range(1 + max(a for pair in pairs for a in pair)))
+    big = tuple((1, k) for k in range(len(pairs)))
+    edges = tuple(sorted((a, k) for k, pair in enumerate(pairs) for a in pair))
+    return LevelGraph("lower", small, big, edges)
+
+
 def check_isomorphism(g, h, mapping):
     """``mapping`` is a side-respecting isomorphism g -> h between the one-line
     tuples the level graphs hold."""
@@ -322,13 +331,32 @@ class TestBipartiteIso:
         h = gamma_lower(build_interval(longest_permutation(4)))
         assert bipartite_isomorphic(g, h) is None
 
+    def test_cycle_against_two_cycles(self):
+        # uniform degrees everywhere, so only the pair structure tells them apart
+        cycle = pair_graph([(i, (i + 1) % 12) for i in range(12)])
+        halves = pair_graph([(b + i, b + (i + 1) % 6) for b in (0, 6) for i in range(6)])
+        assert sorted(cycle.small_degrees()) == sorted(halves.small_degrees())
+        assert bipartite_isomorphic(cycle, halves) is None
+        assert bipartite_isomorphic(halves, cycle) is None
+        for g in (cycle, halves):
+            mapping = bipartite_isomorphic(g, g)
+            assert mapping is not None
+            check_isomorphism(g, g, mapping)
+
+    @pytest.mark.parametrize("pairs", [[(0, 1), (1,)], [(0, 1), (0, 1, 2)]], ids=["one", "three"])
+    def test_big_vertex_without_two_neighbours_raises(self, pairs):
+        g = pair_graph(pairs)
+        with pytest.raises(ValueError):
+            bipartite_isomorphic(g, g)
+
     @pytest.mark.parametrize(
         "ws",
         [
             [Permutation(im) for im in all_one_lines(5)],
+            [Permutation(im) for im in all_one_lines(6)],
             list(group_elements(CoxeterPresentation("B", 3))),
         ],
-        ids=["S5", "B3"],
+        ids=["S5", "S6", "B3"],
     )
     def test_agrees_with_networkx(self, ws):
         nx = pytest.importorskip("networkx")
