@@ -10,8 +10,9 @@ one part per run, printed as one JSON line.
 - main-n7, main-n8: verify_main(n, sd4_mode="constructive-only", jobs=2),
   whose six-avoiders all take the hinted path;
 - s9-uniform: 2,000 uniform elements of S_9, drawn with random.Random(5);
-  runs harness._sd_predicates(w, "constructive-only") on each, in one
-  fresh interpreter, with a timer around each stage it calls, and gives the
+  runs harness._sd_predicates(w, "constructive-only") on each, keeping its
+  row of predicates (that mode makes no certificate), in one fresh
+  interpreter, with a timer around each stage it calls, and gives the
   mean time per element for the six-pattern avoiders and for the rest, the
   per-element cost of an exhaustive constructive-only S_9 sweep.
 
@@ -118,7 +119,7 @@ def s9_uniform() -> dict:
     spent = {True: [], False: []}  # six-avoiding or not: per-element seconds
     for w in ws:
         start = time.perf_counter()
-        row = harness._sd_predicates(w, "constructive-only")
+        row, _ = harness._sd_predicates(w, "constructive-only")
         spent[row["sd2_patterns"]].append(time.perf_counter() - start)
     total = sum(map(sum, spent.values()))
     return {

@@ -8,14 +8,17 @@ colors, one array over both, which share one undirected Hasse diagram
 (McKay-Piperno 2014).  Refinement runs a worklist of splitter cells
 (Paige-Tarjan 1987) and revisits only the cells next to a split; after an
 individualization the new two-vertex cell is the only splitter.  The halves'
-color multisets are compared once, on the stable partition.
+color multisets are compared once, on the stable partition.  Two shortcuts
+serve the sweeps: the rank-1 counts of [e, w] read off w alone, and a found
+bijection carried through an automorphism of Bruhat order to the interval
+of the image of w, verified there.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .intervals import BruhatInterval, bruhat_leq, rank_profile
 from .permutations import (
@@ -357,6 +360,24 @@ def _reverses_covers(interval: BruhatInterval, image: list[int]) -> bool:
     return True
 
 
+def _is_antiautomorphism(interval: BruhatInterval, image: list[int]) -> bool:
+    """Whether ids ``image``, -1 marking a point outside [e, w], form an
+    order-reversing bijection of [e, w]."""
+    return -1 not in image and len(set(image)) == interval.size and _reverses_covers(interval, image)
+
+
+def rank_one_counts(w: Element) -> tuple[int, int]:
+    """|P_1| and |P_{l-1}| of [e, w], read off w without building the
+    interval: the atoms are the simple reflections in supp(w), in any
+    Coxeter group, and the coatoms are the elements w covers.  When the two
+    differ the rank profile is asymmetric, so [e, w] is not self-dual.
+
+    >>> rank_one_counts(Permutation((3, 4, 1, 2)))
+    (3, 4)
+    """
+    return len(w.support()), len(type(w).down_cover_images(w.images))
+
+
 def certify_self_dual(
     interval: BruhatInterval, decomp_hint: Optional[PolishedDecomposition] = None
 ) -> DualityCertificate:
@@ -378,7 +399,7 @@ def certify_self_dual(
     if decomp_hint is not None:
         dual = DualityMap(interval.top, decomp_hint)
         image = interval.ids_of(map(dual, map(interval.graph.images.__getitem__, interval.gids)))
-        if -1 in image or len(set(image)) != interval.size or not _reverses_covers(interval, image):
+        if not _is_antiautomorphism(interval, image):
             raise ValueError("decomposition hint does not induce an antiautomorphism")
         return DualityCertificate("constructive-map", None, interval, image)
 
@@ -397,6 +418,32 @@ def certify_self_dual(
         if image is not None:
             return DualityCertificate("explicit-bijection", None, interval, image)
     return DualityCertificate("refuted", _refinement_summary(colors), interval, None)
+
+
+def transport_certificate(
+    cert: DualityCertificate, interval: BruhatInterval, g: Callable[[tuple[int, ...]], tuple[int, ...]]
+) -> DualityCertificate:
+    """Carry the order-reversing bijection phi of ``cert``'s interval [e, w]
+    to ``interval`` = [e, g(w)], as psi = g phi g, and verify psi there.
+
+    ``g`` acts on one-line tuples as an involutive automorphism of Bruhat
+    order, one of ``permutations.KLEIN_INVOLUTIONS``, so it maps [e, w]
+    onto [e, g(w)] and psi is order-reversing whenever phi is.  psi is
+    still checked by id on [e, g(w)] as the hinted path checks its map: its
+    images lie in the interval, form a bijection and reverse every cover.
+    Raises ValueError when any of these fails.
+    """
+    source, phi = cert.interval, cert.image
+    images = source.graph.images
+    moved = interval.ids_of(g(images[gid]) for gid in source.gids)  # id of g(u), u in [e, w]
+    if phi is None or -1 in moved:
+        raise ValueError(f"cannot carry a bijection of [e, {source.top!r}] to [e, {interval.top!r}]")
+    image = [-1] * interval.size
+    for x, y in enumerate(moved):
+        image[y] = moved[phi[x]]  # psi(g(u)) = g(phi(u))
+    if not _is_antiautomorphism(interval, image):
+        raise ValueError(f"transported bijection does not reverse the covers of [e, {interval.top!r}]")
+    return DualityCertificate("explicit-bijection", None, interval, image)
 
 
 def _hasse_diagram(interval: BruhatInterval) -> list[list[int]]:

@@ -2,10 +2,17 @@
 cover-degree top-heaviness, rank top-heaviness, and the type-B
 counterexamples, with per-degree tallies and violation records.
 
-A sweep runs one per-element check over S_n for every n in its range.  Each
-S_n is split by first image value into (n, first value) chunks, and the
-chunks of every n go to one worker pool per sweep, largest n first; results
-merge in chunk order, so reports do not depend on the number of workers.
+A sweep runs one per-element check over S_n for every n in its range.
+Inversion and conjugation by w0 are automorphisms of Bruhat order
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.3), so the four images
+of w under the Klein group they generate have isomorphic intervals.  Each
+S_n is split into (n, first value) chunks: the orbits whose lexicographically
+least member, the owner, has that first value.  A chunk checks every member
+of its orbits, owner first, and a bijection the owner's search found is
+carried to the other members and verified on their own intervals; no verdict
+is ever carried.  The chunks of every n go to one worker pool per sweep,
+largest n first, and violations are merged in (n, one-line) order, so
+reports do not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -16,21 +23,24 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .duality import (
+    DualityCertificate,
     bipartite_isomorphic,
     certify_self_dual,
     gamma_graphs_direct,
     gamma_lower,
     gamma_upper,
+    rank_one_counts,
+    transport_certificate,
 )
 from .intervals import (
     build_interval,
     degree_extremes,
     rank_profile,
 )
-from .permutations import Permutation
+from .permutations import KLEIN_INVOLUTIONS, Permutation, parse_permutation
 from .polished import (
     NotPolishedError,
     PolishedDecomposition,
@@ -86,14 +96,28 @@ class _ElementFailure(Exception):
         return {"n": n, "w": w.one_line(), "stage": self.stage, "error": self.error}
 
 
-def _sd_predicates(w: Permutation, sd4_mode: str) -> dict:
+# A Klein map taking an orbit's owner to another member, on one-line tuples,
+# and the self-duality certificate the owner's search found
+_Transport = tuple[Callable[[tuple[int, ...]], tuple[int, ...]], DualityCertificate]
+
+
+def _sd_predicates(
+    w: Permutation, sd4_mode: str, transport: Optional[_Transport] = None
+) -> tuple[dict, Optional[DualityCertificate]]:
     """The four self-duality predicates, computed as independently as the
     modes allow: graph isomorphism, pattern scan, constructive decomposition,
-    and interval-level certification.
+    and interval-level certification; and the full-mode certificate, when
+    one was made.
+
+    Full mode refutes SD4 from w's rank-1 counts when they differ, without
+    building [e, w].  Otherwise, given ``transport`` = (g, certificate of
+    [e, v]) with g(v) = w, it carries that bijection to [e, w] and verifies
+    it there; without one it runs the search.
 
     Raises _ElementFailure, naming the stage, on any exception other than
     the NotPolishedError and hinted-certification ValueError that decide a
-    predicate."""
+    predicate; a carried bijection that fails verification is one, at stage
+    transport_certificate."""
     stage = "gamma_graphs_direct"
     try:
         lw = w.length()
@@ -119,45 +143,62 @@ def _sd_predicates(w: Permutation, sd4_mode: str) -> dict:
             sd3 = False
 
         sd4: Optional[bool] = None
-        if sd4_mode == "full" or sd3:
+        cert: Optional[DualityCertificate] = None
+        if sd4_mode == "full":
+            stage = "rank_one_counts"
+            atoms, coatoms = rank_one_counts(w)
+            sd4 = False
+            if atoms == coatoms:
+                stage = "build_interval"
+                interval = build_interval(w)
+                if transport is None:
+                    stage = "certify_self_dual"
+                    cert = certify_self_dual(interval)
+                else:
+                    stage = "transport_certificate"
+                    g, source = transport
+                    cert = transport_certificate(source, interval, g)
+                sd4 = cert.is_self_dual
+        elif sd3:
             stage = "build_interval"
             interval = build_interval(w)
             stage = "certify_self_dual"
-            if sd4_mode == "full":
-                sd4 = certify_self_dual(interval).is_self_dual
-            else:
-                # constructive-only: verify the explicit map reverses every cover
-                try:
-                    certify_self_dual(interval, decomp)
-                    sd4 = True
-                except ValueError:
-                    sd4 = False
+            # constructive-only: verify the explicit map reverses every cover
+            try:
+                certify_self_dual(interval, decomp)
+                sd4 = True
+            except ValueError:
+                sd4 = False
     except Exception as exc:
         raise _ElementFailure(stage, exc) from exc
 
-    return {
+    row = {
         "smooth": smooth,
         "sd1_gamma_iso": sd1,
         "sd2_patterns": sd2,
         "sd3_polished": sd3,
         "sd4_self_dual": sd4,
     }
+    return row, cert
 
 
 # (tally key, predicate counted under it) for the self-duality sweep
 _MAIN_TALLY = (("smooth", "smooth"), ("polished", "sd3_polished"), ("self_dual", "sd4_self_dual"))
 
 
-def _main_checks(n: int, w: Permutation, sd4_mode: str) -> tuple[list[str], list[dict]]:
-    """One element's self-duality tally keys, and a violation when its
-    predicates disagree."""
-    row = _sd_predicates(w, sd4_mode)
+def _main_checks(
+    n: int, w: Permutation, sd4_mode: str, transport: Optional[_Transport] = None
+) -> tuple[list[str], list[dict], Optional[DualityCertificate]]:
+    """One element's self-duality tally keys, a violation when its
+    predicates disagree, and its full-mode bijection, if the search or the
+    carried one certified it, for the rest of its orbit."""
+    row, cert = _sd_predicates(w, sd4_mode, transport)
     keys = [key for key, pred in _MAIN_TALLY if row[pred]]
     verdicts = {row["sd1_gamma_iso"], row["sd2_patterns"], row["sd3_polished"]}
     if row["sd4_self_dual"] is not None:
         verdicts.add(row["sd4_self_dual"])
     violations = [] if len(verdicts) == 1 else [{"n": n, "w": w.one_line(), "predicates": row}]
-    return keys, violations
+    return keys, violations, cert if cert is not None and cert.is_self_dual else None
 
 
 def _topheavy_checks(n: int, w: Permutation) -> tuple[tuple[str, ...], list[dict]]:
@@ -203,26 +244,55 @@ def _topheavy_checks(n: int, w: Permutation) -> tuple[tuple[str, ...], list[dict
     return ("smooth", "degree_equal" if atom_up == coatom_down else "degree_strict"), violations
 
 
-def _chunk(check, args: tuple) -> tuple[int, Counter, list[dict]]:
-    """Run ``check(n, w, *rest)`` on every w in S_n with w(1) = first, for
-    ``args = (n, first, *rest)``.  Returns the elements checked (a failed
-    element counts: it was attempted and reported), the tally keys counted
-    and the violations, failures recorded in element order."""
+def _orbits(n: int, first: int):
+    """The Klein orbits of S_n whose lexicographically least member, the
+    owner, has w(1) = first, in the owner's one-line order.  Each comes as
+    the owner and its other members as sorted (g(owner), g) pairs, g the
+    first Klein map reaching that member."""
+    others = [v for v in range(1, n + 1) if v != first]
+    for tail in itertools.permutations(others):
+        owner = (first,) + tail
+        members: dict[tuple[int, ...], Callable] = {}
+        for g in KLEIN_INVOLUTIONS:
+            x = g(owner)
+            if x < owner:
+                break
+            if x != owner:
+                members.setdefault(x, g)
+        else:
+            yield owner, sorted(members.items())
+
+
+def _chunk(check, args: tuple, carry: bool = False) -> tuple[int, Counter, list[dict]]:
+    """Run ``check(n, w, *rest)``, which returns (keys, violations), on
+    every member of the Klein orbits of the chunk ``args = (n, first,
+    *rest)``, owner first.  With ``carry`` the check also takes
+    ``transport=`` and returns a certificate third: None for the owner, and
+    (g, certificate) for another member g(owner) when the owner's check
+    returned one.  Returns the elements checked (a failed element counts: it
+    was attempted and reported), the tally keys counted and the violations,
+    failures recorded in the order met."""
     n, first, *rest = args
     checked = 0
     tally: Counter[str] = Counter()
     violations: list[dict] = []
-    others = [v for v in range(1, n + 1) if v != first]
-    for tail in itertools.permutations(others):
-        w = Permutation((first,) + tail)
-        checked += 1
-        try:
-            keys, found = check(n, w, *rest)
-        except _ElementFailure as fail:
-            violations.append(fail.record(n, w))
-            continue
-        tally.update(keys)
-        violations.extend(found)
+    for owner, members in _orbits(n, first):
+        cert = None
+        for x, g in [(owner, None), *members]:
+            w = Permutation(x)
+            checked += 1
+            try:
+                if not carry:
+                    keys, found = check(n, w, *rest)
+                elif g is None:
+                    keys, found, cert = check(n, w, *rest)
+                else:
+                    keys, found, _ = check(n, w, *rest, transport=None if cert is None else (g, cert))
+            except _ElementFailure as fail:
+                violations.append(fail.record(n, w))
+                continue
+            tally.update(keys)
+            violations.extend(found)
     return checked, tally, violations
 
 
@@ -243,18 +313,24 @@ def _run_chunks(worker, chunk_args: list, jobs: int) -> list:
 
 
 def _sweep(
-    theorem: str, ns: range, check, keys: tuple[str, ...], rest: tuple, jobs: int
+    theorem: str, ns: range, check, keys: tuple[str, ...], rest: tuple, jobs: int, carry: bool = False
 ) -> VerificationReport:
     """Run ``check`` on every element of S_n for n in ``ns``: one
-    (n, first value, *rest) chunk per first value of every n, all handed to
-    one pool, merged in chunk order.  The pool takes the largest n first, so
-    the longest chunks do not run last while a worker idles.  Each n's
-    tallies list ``keys`` in order, zeros included, so the report does not
-    depend on ``jobs``."""
+    (n, first value, *rest) chunk of Klein orbits per first value of every
+    n, all handed to one pool, with ``carry`` as in _chunk.  The pool takes
+    the largest n first, so the longest chunks do not run last while a
+    worker idles.  Violations are sorted by n and one-line tuple, those of
+    one element kept in the order found, and each n's tallies list ``keys``
+    in order, zeros included, so the report does not depend on ``jobs``.
+
+    Orbit chunks are uneven: chunk (n, 2) holds 36% of S_7 and 34% of S_8,
+    so ``jobs`` beyond 3 shortens no sweep, and at ``jobs`` >= 3 a sweep
+    whose checks share no work across an orbit waits on that chunk."""
     start = time.perf_counter()
     chunks = [(n, first, *rest) for n in ns for first in range(1, n + 1)]
     submitted = sorted(chunks, key=lambda args: -args[0])
-    done = dict(zip(submitted, _run_chunks(functools.partial(_chunk, check), submitted, jobs)))
+    worker = functools.partial(_chunk, check, carry=carry)
+    done = dict(zip(submitted, _run_chunks(worker, submitted, jobs)))
     checked = 0
     violations: list[dict] = []
     totals: dict[int, Counter[str]] = {n: Counter() for n in ns}
@@ -263,6 +339,7 @@ def _sweep(
         checked += count
         totals[args[0]].update(tally)
         violations.extend(found)
+    violations.sort(key=lambda v: (v["n"], parse_permutation(v["w"]).images))
     return VerificationReport(
         theorem=theorem,
         n_range=list(ns),
@@ -277,14 +354,17 @@ def verify_main(
     n_max: int, sd4_mode: str = "full", jobs: int = 1, force_full: bool = False
 ) -> VerificationReport:
     """Sweep every w in S_1..S_{n_max} and assert the four self-duality
-    predicates agree.  ``sd4_mode`` applies at every n.  ``force_full`` is
-    accepted and ignored: full mode always runs the refutation search."""
+    predicates agree.  ``sd4_mode`` applies at every n.  In full mode each
+    element is refuted by its own rank-1 counts or certification, or
+    certified by a bijection verified on its own interval.  ``force_full``
+    is accepted and ignored."""
     if not 1 <= n_max <= MAX_SWEEP_DEGREE:
         raise ValueError(f"n_max must be between 1 and {MAX_SWEEP_DEGREE}")
     if sd4_mode not in ("full", "constructive-only"):
         raise ValueError(f"unknown sd4 mode {sd4_mode!r}")
     keys = tuple(key for key, _ in _MAIN_TALLY)
-    return _sweep("thm-main", range(1, n_max + 1), _main_checks, keys, (sd4_mode,), jobs)
+    # carry: each orbit owner's bijection goes to the other members
+    return _sweep("thm-main", range(1, n_max + 1), _main_checks, keys, (sd4_mode,), jobs, True)
 
 
 def verify_topheavy(n_max: int, jobs: int = 1) -> VerificationReport:
@@ -293,7 +373,12 @@ def verify_topheavy(n_max: int, jobs: int = 1) -> VerificationReport:
     w of length >= 2, max atom up-degree <= max coatom down-degree, with
     equality exactly on the six-pattern avoiders.  The ``smooth`` tally
     counts every smooth w, as in verify_main; ``degree_equal`` plus
-    ``degree_strict`` counts those of length >= 2."""
+    ``degree_strict`` counts those of length >= 2.
+
+    The sweep shares verify_main's orbit chunks but checks every element on
+    its own, so its longest chunk, (n_max, 2), is about a third of the work:
+    with ``jobs`` >= 3 it runs slower than an even split by first value
+    would (see _sweep)."""
     if not 2 <= n_max <= MAX_SWEEP_DEGREE:
         raise ValueError(f"n_max must be between 2 and {MAX_SWEEP_DEGREE}")
     keys = ("smooth", "degree_equal", "degree_strict")

@@ -81,7 +81,7 @@ class Permutation:
         >>> Permutation((3, 4, 5, 2, 1)).inverse().one_line()
         '54123'
         """
-        return Permutation(tuple(i + 1 for i in inverse_indices(self.images)))
+        return Permutation(inverse_images(self.images))
 
     def times_simple_right(self, i: int) -> Permutation:
         """Multiply by s_i on the right (swap positions i, i+1)."""
@@ -205,6 +205,37 @@ def inverse_indices(x: tuple[int, ...]) -> tuple[int, ...]:
     (1, 2, 0)
     """
     return tuple(sorted(range(len(x)), key=x.__getitem__))
+
+
+def inverse_images(x: tuple[int, ...]) -> tuple[int, ...]:
+    """The one-line tuple of x^-1.
+
+    >>> inverse_images((3, 4, 5, 2, 1))
+    (5, 4, 1, 2, 3)
+    """
+    return tuple([i + 1 for i in inverse_indices(x)])
+
+
+def w0_conjugate_images(x: tuple[int, ...]) -> tuple[int, ...]:
+    """The one-line tuple of w0 x w0: positions and values both reversed.
+
+    >>> w0_conjugate_images((2, 3, 1))
+    (3, 1, 2)
+    """
+    top = len(x) + 1
+    return tuple([top - v for v in reversed(x)])
+
+
+def inverse_w0_conjugate_images(x: tuple[int, ...]) -> tuple[int, ...]:
+    """The one-line tuple of w0 x^-1 w0."""
+    return w0_conjugate_images(inverse_images(x))
+
+
+# The three involutions of the Klein group generated by inversion and
+# conjugation by w0, on one-line tuples; each is an automorphism of Bruhat
+# order (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.3), so it maps
+# [e, x] onto [e, g(x)].
+KLEIN_INVOLUTIONS = (inverse_images, w0_conjugate_images, inverse_w0_conjugate_images)
 
 
 def young_windows(gens: Iterable[int]) -> tuple[tuple[int, int], ...]:

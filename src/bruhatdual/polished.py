@@ -29,7 +29,7 @@ from .permutations import (
     Permutation,
     PatternOccurrence,
     contains_pattern,
-    inverse_indices,
+    inverse_images,
     young_reversal,
 )
 from .signed import CoxeterPresentation, Element
@@ -58,7 +58,20 @@ class PatternWitnessError(ValueError):
 class NotPolishedError(ValueError):
     """Structural failure inside the reduction/assembly pipeline.  On inputs
     containing one of the six patterns this is the expected way for the
-    algorithm to stop; after a pattern precheck it would indicate a bug."""
+    algorithm to stop; after a pattern precheck it would indicate a bug.
+
+    The message may be a format string with one-line tuples to fill it,
+    each written as a permutation: most failures are caught and dropped, so
+    the text is formatted only when read.
+    """
+
+    def __init__(self, message: str, *perms: tuple[int, ...]):
+        super().__init__(message)
+        self.perms = perms
+
+    def __str__(self) -> str:
+        message = self.args[0]
+        return message.format(*map(_text, self.perms)) if self.perms else message
 
 
 def avoids_smooth_patterns(w: Permutation) -> bool:
@@ -121,16 +134,16 @@ def _classify(x: tuple[int, ...]) -> tuple[str, int, tuple[int, ...]]:
     t = len(chain) - 1
     vals = [v for v in head if v <= v1]
     if vals != sorted(vals, reverse=True):
-        raise NotPolishedError(f"staircase of {_text(x)} not decreasing: contains 4231")
+        raise NotPolishedError("staircase of {} not decreasing: contains 4231", x)
     R = [a for a, v in enumerate(head, 1) if v > v1]
     L = any(1 < v < v1 for v in x[pos1:])
     if R and L:
-        raise NotPolishedError(f"{_text(x)} has both side regions nonempty: contains 3412")
+        raise NotPolishedError("{} has both side regions nonempty: contains 3412", x)
     if not R and not L:
         return "n", t, chain
     if R:
         return _r_refinement(x, chain, R), t, chain
-    mirror_tag, mirror_t, _ = _classify(tuple([i + 1 for i in inverse_indices(x)]))
+    mirror_tag, mirror_t, _ = _classify(inverse_images(x))
     if mirror_tag not in ("r0", "r1") or mirror_t != t:
         raise AssertionError(f"inconsistent mirror classification for {_text(x)}")
     return "l" + mirror_tag[1], t, chain
@@ -143,7 +156,7 @@ def _r_refinement(x: tuple[int, ...], chain: tuple[int, ...], R: list[int]) -> s
     r2 = [a for a in R if a < chain[t - 2]]
     if r2:
         raise NotPolishedError(
-            f"region below the staircase head of {_text(x)} nonempty: contains 45321"
+            "region below the staircase head of {} nonempty: contains 45321", x
         )
     r1 = [a for a in R if chain[t - 2] < a < chain[t - 1]]
     return "r1" if r1 else "r0"
@@ -188,7 +201,7 @@ def _step(x: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[str, int, tup
         out = [w0[v - 1] + 1 for v in x]
         if tag == "n":
             if out != [x[j] for j in w0]:
-                raise NotPolishedError(f"type-n step of {_text(x)} fails to commute: bad input")
+                raise NotPolishedError("type-n step of {} fails to commute: bad input", x)
             support_floor = b + 2
         elif tag == "r0":
             support_floor = b + 1
@@ -208,8 +221,9 @@ def _step(x: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[str, int, tup
     fixed = min(support_floor - 1, n)
     if out[:fixed] != list(range(1, fixed + 1)):
         raise NotPolishedError(
-            f"step output {_text(tuple(out))} escapes its window: "
-            f"{_text(x)} violates the pattern precondition"
+            "step output {} escapes its window: {} violates the pattern precondition",
+            tuple(out),
+            x,
         )
     return tuple(out), m, local
 

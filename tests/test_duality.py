@@ -5,9 +5,10 @@ from collections import Counter
 import pytest
 
 from conftest import longest_permutation
-from oracle_utils import SMOOTH_PATTERNS, all_one_lines, brute_avoids_all
+from oracle_utils import SMOOTH_PATTERNS, all_one_lines, brute_avoids_all, brute_rank_profile
 
 from bruhatdual.duality import (
+    DualityCertificate,
     DualityMap,
     LevelGraph,
     _hasse_diagram,
@@ -19,14 +20,17 @@ from bruhatdual.duality import (
     gamma_graphs_direct,
     gamma_lower,
     gamma_upper,
+    rank_one_counts,
+    transport_certificate,
 )
 from bruhatdual.intervals import (
     build_interval,
     degree_extremes,
+    rank_profile,
     longest_parabolic,
     parabolic_decompose,
 )
-from bruhatdual.permutations import Permutation, identity, parse_permutation
+from bruhatdual.permutations import KLEIN_INVOLUTIONS, Permutation, identity, parse_permutation
 from bruhatdual.polished import polished_decompose
 from bruhatdual.signed import (
     CoxeterPresentation,
@@ -753,3 +757,68 @@ class TestCertify:
             interval = build_interval(w)
             if certify_self_dual(interval).is_self_dual:
                 assert bipartite_isomorphic(gamma_lower(interval), gamma_upper(interval))
+
+
+class TestRankOneCounts:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_refutes_exactly_the_rank_one_asymmetric(self, n):
+        # the counts are |P_1| and |P_{l-1}| of the built interval, so they
+        # differ exactly when its profile parts at rank 1; in S_4 that is
+        # 3412 and 4231, and most singular w of S_6 and S_7
+        refuted = {1: 0, 2: 0, 3: 0, 4: 2, 6: 341, 7: 3379}.get(n)
+        count = 0
+        for im in all_one_lines(n):
+            w = Permutation(im)
+            profile = rank_profile(build_interval(w))
+            atoms, coatoms = rank_one_counts(w)
+            if len(profile) > 1:
+                assert (atoms, coatoms) == (profile[1], profile[-2])
+            else:
+                assert (atoms, coatoms) == (0, 0)
+            count += atoms != coatoms
+        assert refuted is None or count == refuted
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_agrees_with_brute_profile(self, n):
+        for im in all_one_lines(n):
+            profile = brute_rank_profile(im)
+            atoms, coatoms = rank_one_counts(Permutation(im))
+            assert (atoms != coatoms) == (len(profile) > 1 and profile[1] != profile[-2])
+
+
+def reverses_order(interval, image):
+    """The id map is a bijection taking each cover y < x to a cover image[x] < image[y]."""
+    if sorted(image) != list(range(interval.size)):
+        return False
+    return all(image[x] in interval.down[image[y]] for x, ys in enumerate(interval.down) for y in ys)
+
+
+class TestTransport:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_carried_bijection_verifies_on_every_image(self, n):
+        carried = 0
+        for im in all_one_lines(n):
+            if not brute_avoids_all(im):
+                continue
+            cert = certify_self_dual(build_interval(Permutation(im)))
+            assert cert.kind == "explicit-bijection"
+            for g in KLEIN_INVOLUTIONS:
+                if g(im) == im:
+                    continue
+                target = build_interval(Permutation(g(im)))
+                moved = transport_certificate(cert, target, g)
+                assert moved.kind == "explicit-bijection" and moved.interval is target
+                assert reverses_order(target, moved.image)
+                carried += 1
+        assert carried > 0 or n < 3
+
+    def test_corrupted_bijection_raises(self):
+        cert = certify_self_dual(build_interval(parse_permutation("1342")))
+        image = list(cert.image)
+        image[0], image[-1] = image[-1], image[0]
+        bad = DualityCertificate("explicit-bijection", None, cert.interval, image)
+        target = build_interval(parse_permutation("1423"))
+        with pytest.raises(ValueError, match="does not reverse the covers"):
+            transport_certificate(bad, target, KLEIN_INVOLUTIONS[0])
+        with pytest.raises(ValueError, match="cannot carry"):
+            transport_certificate(certify_self_dual(build_interval(parse_permutation("3412"))), target, KLEIN_INVOLUTIONS[0])

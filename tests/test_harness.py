@@ -1,13 +1,26 @@
+import dataclasses
 import itertools
 from collections import Counter
 
 import pytest
 
-from oracle_utils import brute_leq
+from oracle_utils import (
+    SIX_AVOIDING_COUNTS,
+    SMOOTH_COUNTS,
+    all_one_lines,
+    brute_avoids_all,
+    brute_leq,
+)
 
 from bruhatdual import duality, harness
 from bruhatdual.intervals import subword_downset
-from bruhatdual.permutations import Permutation, tableau_leq
+from bruhatdual.permutations import (
+    Permutation,
+    inverse_images,
+    inverse_w0_conjugate_images,
+    tableau_leq,
+    w0_conjugate_images,
+)
 from bruhatdual.polished import NotPolishedError
 
 
@@ -24,6 +37,14 @@ def failing_on(real, is_target, exc):
 
 def is_2143(w):
     return w.one_line() == "2143"
+
+
+def klein_orbit(im):
+    """{w, w^-1, w0 w w0, w0 w^-1 w0} on one-line tuples, from the definitions."""
+    n = len(im)
+    inverse = tuple(sorted(range(1, n + 1), key=lambda i: im[i - 1]))
+    flip = lambda x: tuple(n + 1 - v for v in reversed(x))  # noqa: E731
+    return {im, inverse, flip(im), flip(inverse)}
 
 
 class TestElementFailures:
@@ -122,13 +143,19 @@ class TestTopheavy:
             harness.verify_topheavy(9)
 
     def test_ranks_checked_at_seven(self):
-        # w(1) = 1 gives [e, w] = [e, v] for the v in S_6 that w shifts, so
-        # smooth is S_6's census count 366; the degree tallies split S_6's
-        # 366 smooth and 322 six-avoiding elements less the six of length < 2.
-        checked, tally, violations = harness._chunk(harness._topheavy_checks, (7, 1))
-        assert checked == 720
-        assert violations == []
-        assert tally == {"smooth": 366, "degree_equal": 316, "degree_strict": 44}
+        # the chunks of S_7 together check every element once; the degree
+        # tallies split the census's smooth and six-avoiding counts, less the
+        # seven elements of length < 2 (e and the six s_i)
+        checked, tally = 0, Counter()
+        for first in range(1, 8):
+            count, found, violations = harness._chunk(harness._topheavy_checks, (7, first))
+            assert violations == []
+            checked += count
+            tally.update(found)
+        smooth, six = SMOOTH_COUNTS[7], SIX_AVOIDING_COUNTS[7]
+        assert checked == 5040
+        assert tally == {"smooth": smooth, "degree_equal": six - 7, "degree_strict": smooth - six}
+        assert (smooth, six - 7, smooth - six) == (1552, 1227, 318)
 
 
 class TestGammaGraphsDirect:
@@ -197,15 +224,149 @@ class TestGammaGraphsDirect:
 
 class TestChunkOrder:
     def test_largest_n_first_merged_in_chunk_order(self, monkeypatch):
+        # chunk (n, first) reports two violations naming an element that
+        # starts with n + 1 - first, so one-line order reverses chunk order
+        # within each n; the two of one element keep the order found
         submitted = []
+
+        def fake(n, first):
+            w = "".join(map(str, [n + 1 - first] + [v for v in range(1, n + 1) if v != n + 1 - first]))
+            return [{"n": n, "w": w, "chunk": (n, first), "k": k} for k in (0, 1)]
 
         def record(worker, chunk_args, jobs):
             submitted.extend(args[:2] for args in chunk_args)
-            return [(1, Counter(), [{"chunk": args[:2]}]) for args in chunk_args]
+            return [(1, Counter(), fake(*args[:2])) for args in chunk_args]
 
         monkeypatch.setattr(harness, "_run_chunks", record)
         report = harness.verify_main(4, "full", jobs=2)
         chunks = [(n, first) for n in range(1, 5) for first in range(1, n + 1)]
         assert submitted == sorted(chunks, key=lambda c: -c[0])
-        assert [v["chunk"] for v in report.violations] == chunks
+        merged = [(n, first) for n in range(1, 5) for first in range(n, 0, -1)]
+        assert [(v["chunk"], v["k"]) for v in report.violations] == [
+            (c, k) for c in merged for k in (0, 1)
+        ]
         assert report.checked == len(chunks)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_forced_violations_in_one_line_order(self, monkeypatch, jobs):
+        # failures forced on the length-4 elements of S_4 and S_5, which
+        # spread over several chunks and sit both as owners and as other
+        # members of their orbits
+        targets = {
+            im for n in (4, 5) for im in itertools.permutations(range(1, n + 1))
+            if sum(a > b for a, b in itertools.combinations(im, 2)) == 4
+        }
+        real = harness.assemble_decomposition
+        monkeypatch.setattr(
+            harness, "assemble_decomposition",
+            failing_on(real, lambda w: w.images in targets, RuntimeError("boom")),
+        )
+        report = harness.verify_main(5, "full", jobs=jobs)
+        expected = [
+            {"n": len(im), "w": "".join(map(str, im)), "stage": "assemble_decomposition",
+             "error": "RuntimeError: boom"}
+            for im in sorted(targets, key=lambda im: (len(im), im))
+        ]
+        owners = {min(klein_orbit(im)) for im in targets}
+        assert len({owner[0] for owner in owners}) > 2 and not targets <= owners
+        assert report.violations == expected
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_chunks_partition_sn_into_orbits(self, n):
+        # every orbit comes once, from the chunk of its least member's first
+        # value, as that owner then its other members; over all chunks of n
+        # the members are S_n, each once
+        seen = []
+        for first in range(1, n + 1):
+            owners = []
+            for owner, members in harness._orbits(n, first):
+                orbit = klein_orbit(owner)
+                assert owner[0] == first and owner == min(orbit)
+                assert [x for x, _ in members] == sorted(orbit - {owner})
+                assert all(g(owner) == x for x, g in members)
+                owners.append(owner)
+                seen += [owner, *(x for x, _ in members)]
+            assert owners == sorted(owners)
+        assert sorted(seen) == sorted(itertools.permutations(range(1, n + 1)))
+
+    def test_klein_maps_are_inverse_and_w0_conjugation(self):
+        w0 = Permutation((4, 3, 2, 1))
+        for im in itertools.permutations(range(1, 5)):
+            w = Permutation(im)
+            assert inverse_images(im) == w.inverse().images
+            assert w0_conjugate_images(im) == (w0 * w * w0).images
+            assert inverse_w0_conjugate_images(im) == (w0 * w.inverse() * w0).images
+
+
+class TestFullModeSd4:
+    def test_rank_one_refutation_builds_no_interval(self, monkeypatch):
+        # full mode builds [e, w] exactly for the w whose rank-1 counts agree,
+        # each once, on its own; the others are refuted from w alone
+        built = []
+        real = harness.build_interval
+
+        def record(w):
+            built.append(w.images)
+            return real(w)
+
+        monkeypatch.setattr(harness, "build_interval", record)
+        report = harness.verify_main(5, "full", jobs=1)
+        assert report.ok
+        expected = [
+            w.images for n in range(1, 6) for w in map(Permutation, itertools.permutations(range(1, n + 1)))
+            if len(w.support()) == len(Permutation.down_cover_images(w.images))
+        ]
+        assert sorted(built) == sorted(expected) and len(set(built)) == len(built)
+
+    def test_each_self_dual_orbit_is_searched_once(self, monkeypatch):
+        # the owner of a self-dual orbit searches, and its bijection is
+        # carried to the other members; every other element that builds its
+        # interval searches on its own
+        searched, carried = [], []
+        real_search, real_carry = harness.certify_self_dual, harness.transport_certificate
+
+        def search(interval, *hint):
+            searched.append(interval.top.images)
+            return real_search(interval, *hint)
+
+        def carry(cert, interval, g):
+            carried.append((cert.interval.top.images, interval.top.images))
+            return real_carry(cert, interval, g)
+
+        monkeypatch.setattr(harness, "certify_self_dual", search)
+        monkeypatch.setattr(harness, "transport_certificate", carry)
+        report = harness.verify_main(6, "full", jobs=1)
+        assert report.ok
+        targets = [x for _, x in carried]
+        assert len(set(searched + targets)) == len(searched) + len(targets)
+        assert all(owner == min(klein_orbit(x)) and owner in searched for owner, x in carried)
+        self_dual = [im for n in range(1, 7) for im in all_one_lines(n) if brute_avoids_all(im)]
+        assert sorted(targets + [im for im in searched if brute_avoids_all(im)]) == sorted(self_dual)
+        owners = {min(klein_orbit(im)) for im in self_dual}
+        assert sorted(im for im in searched if brute_avoids_all(im)) == sorted(owners)
+        assert (len(self_dual), len(owners)) == (437, 149)
+
+    def test_corrupted_transport_is_a_violation(self, monkeypatch):
+        # the owner 1342's bijection with two images swapped is carried to
+        # 1423, 2314 and 3124; each fails verification on its own interval
+        # and is reported, none falls back to a search
+        real = harness.certify_self_dual
+
+        def corrupt(interval, *hint):
+            cert = real(interval, *hint)
+            if interval.top.images == (1, 3, 4, 2):
+                image = list(cert.image)
+                image[0], image[-1] = image[-1], image[0]
+                cert = dataclasses.replace(cert, image=image)
+            return cert
+
+        monkeypatch.setattr(harness, "certify_self_dual", corrupt)
+        report = harness.verify_main(4, "full", jobs=1)
+        assert report.checked == 33
+        assert [(v["n"], v["w"], v["stage"]) for v in report.violations] == [
+            (4, w, "transport_certificate") for w in ("1423", "2314", "3124")
+        ]
+        assert all(v["error"].startswith("ValueError: transported bijection") for v in report.violations)
+        assert report.tallies["4"]["self_dual"] == 22 - 3

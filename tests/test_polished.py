@@ -107,6 +107,19 @@ class TestNotPolishedText:
             decompose_step(parse_permutation("1265734"))
         assert str(info.value) == "43512 has both side regions nonempty: contains 3412"
 
+    def test_text_is_formatted_only_when_read(self, monkeypatch):
+        # a failed assembly names no permutation until its text is read
+        from bruhatdual import polished
+
+        named = []
+        real = polished._text
+        monkeypatch.setattr(polished, "_text", lambda x: named.append(x) or real(x))
+        with pytest.raises(NotPolishedError) as info:
+            assemble_decomposition(parse_permutation("15342"))
+        assert named == []
+        assert str(info.value) == "staircase of 4231 not decreasing: contains 4231"
+        assert named == [(4, 2, 3, 1)]
+
     def test_boundary_types(self):
         tag = classify_type(parse_permutation("34521"))
         assert type(tag) is TypeTag
