@@ -2,16 +2,22 @@
 interval or, for a permutation, built straight from w, and their isomorphism,
 matched on the pair of small vertices each big one touches; the explicit
 duality map coming from a polished decomposition, and poset self-duality
-certification.  The hinted path checks the map's images by id.  The search
-looks for an isomorphism from [e, w] to its dual by refining their rank
-colors, one array over both, which share one undirected Hasse diagram
-(McKay-Piperno 2014).  Refinement runs a worklist of splitter cells
-(Paige-Tarjan 1987) and revisits only the cells next to a split; after an
-individualization the new two-vertex cell is the only splitter.  The halves'
-color multisets are compared once, on the stable partition.  Two shortcuts
-serve the sweeps: the rank-1 counts of [e, w] read off w alone, and a found
-bijection carried through an automorphism of Bruhat order to the interval
-of the image of w, verified there.
+certification.  The hinted path and every found bijection are checked by
+id against the cover graph's own cover tuples.  The search looks for an
+isomorphism from [e, w] to its dual by refining one color array over both,
+which share one undirected Hasse diagram (McKay-Piperno 2014).  Refinement
+runs a worklist of splitter cells (Paige-Tarjan 1987) and revisits only the
+cells next to a split.  It starts from (rank, down-degree, up-degree)
+colors: the rank cells split once by every rank cell, which then count as
+processed splitters, so all but the largest part of each are queued
+(Hopcroft's rule).  The former degree start, ``_initial_colors``, queued
+every degree cell and so repeated that first pass in Python.  After an
+individualization the new two-vertex cell is the only splitter, and the
+cell map is carried from level to level, not rebuilt from the colors.  The
+halves' color multisets are compared once, on the stable partition.  Two
+shortcuts serve the sweeps: the rank-1 counts of [e, w] read off w alone,
+and a found bijection carried through an automorphism of Bruhat order to
+the interval of the image of w, verified there.
 """
 
 from __future__ import annotations
@@ -350,12 +356,14 @@ class DualityCertificate:
 def _reverses_covers(interval: BruhatInterval, image: list[int]) -> bool:
     """Whether the id map x -> image[x] turns every cover y < x into a cover
     image[x] < image[y].  A bijection that does so carries the cover relation
-    onto its reverse, so it is an order-reversing bijection of [e, w]."""
-    down = interval.down
-    for x, ys in enumerate(down):
-        ix = image[x]
-        for y in ys:
-            if ix not in down[image[y]]:
+    onto its reverse, so it is an order-reversing bijection of [e, w].  The
+    check runs on graph ids, against the cover graph's own cover tuples, so
+    it needs no ``down`` lists."""
+    gids, covers = interval.gids, interval.graph.covers
+    phi = dict(zip(gids, map(gids.__getitem__, image)))
+    for g, pg in phi.items():
+        for y in covers[g]:
+            if pg not in covers[phi[y]]:
                 return False
     return True
 
@@ -412,9 +420,9 @@ def certify_self_dual(
     colors = None
     if sorted(atom_up) == sorted(coatom_down):
         hasse = _hasse_diagram(interval)
-        ranks = interval.rank + [interval.top_rank - r for r in interval.rank]
-        colors = _refine_to_stable(hasse, ranks)
-        image = _search_antiautomorphism(interval, hasse, colors)
+        colors, splitters, cells = _degree_start(interval, hasse)
+        colors = _refine_to_stable(hasse, colors, splitters, cells)
+        image = _search_antiautomorphism(interval, hasse, colors, cells)
         if image is not None:
             return DualityCertificate("explicit-bijection", None, interval, image)
     return DualityCertificate("refuted", _refinement_summary(colors), interval, None)
@@ -456,8 +464,37 @@ def _hasse_diagram(interval: BruhatInterval) -> list[list[int]]:
     return hasse
 
 
+def _degree_start(
+    interval: BruhatInterval, hasse: list[list[int]]
+) -> tuple[list[int], list[int], dict[int, list[int]]]:
+    """The search's root colors, splitters and cells: the rank cells of
+    [e, w] and its dual, already split by one splitting pass over every rank
+    cell.  Within rank cells, neighbor counts are down- and up-degrees, so x
+    takes the color of (rank, down, up) and its dual vertex size + x that of
+    (top - rank, up, down).  Every rank cell counts as a splitter already
+    processed: each keeps its largest part unqueued (Hopcroft's rule), and
+    the other parts are the splitters."""
+    top, downs = interval.top_rank, list(map(len, interval.down))
+    keys = [(r, d, len(nb) - d) for r, d, nb in zip(interval.rank, downs, hasse)]
+    keys += [(top - r, u, d) for r, d, u in keys]
+    table: dict[tuple[int, int, int], int] = {}
+    colors = [table.setdefault(key, len(table)) for key in keys]
+    cells: dict[int, list[int]] = {c: [] for c in table.values()}
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    largest: dict[int, int] = {}  # rank -> color of its largest part
+    for (r, _, _), c in table.items():
+        if len(cells[c]) > len(cells[largest.setdefault(r, c)]):
+            largest[r] = c
+    kept = set(largest.values())
+    return colors, [c for c in cells if c not in kept], cells
+
+
 def _refine_to_stable(
-    hasse: list[list[int]], colors: list[int], splitters: Optional[list[int]] = None
+    hasse: list[list[int]],
+    colors: list[int],
+    splitters: Optional[list[int]] = None,
+    cells: Optional[dict[int, list[int]]] = None,
 ) -> Optional[list[int]]:
     """Refine, in place, the colors of [e, w] (ids x) and its dual (ids
     size + x) to the coarsest equitable partition below them, over the
@@ -471,17 +508,29 @@ def _refine_to_stable(
     (Hopcroft's rule); the other parts take fresh colors and join the
     worklist.  Counts into the largest part are counts into the old cell,
     already uniform or still to come, less counts into the queued parts.
-    ``splitters`` None queues every color; a caller that individualized
-    a vertex pair of an equitable partition passes only the pair's color.
+    ``splitters`` None queues every color.  Otherwise each color left out
+    must be a cell the partition is already equitable with respect to, or
+    the largest part of one (Hopcroft's start).  ``_degree_start`` passes
+    all but the largest part of each rank cell, since its colors are the
+    rank cells split by every rank cell; queueing every part, as the
+    deleted ``_initial_colors`` start did, reaches the same partition with
+    one more splitting pass.  A caller that individualized a vertex pair
+    of an equitable partition passes only the pair's color.
+
+    ``cells`` maps each color to its vertices and is refined in place with
+    ``colors``; None builds it from ``colors``.  A split replaces cell lists
+    and never mutates one, so a caller may hand in a shallow copy of a map
+    whose lists it still reads.
 
     None when the two halves' color multisets part.  Checking once, at the
     end, is sound: cells only split, so a cell whose halves part leaves a
     part-wise mismatch in some cell below it.  No isomorphism respects it.
     """
     size = len(hasse)
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
+    if cells is None:
+        cells = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
     queue = list(cells) if splitters is None else list(splitters)
     fresh = max(cells) + 1
     while queue:
@@ -515,38 +564,43 @@ def _refine_to_stable(
 
 
 def _search_antiautomorphism(
-    interval: BruhatInterval, hasse: list[list[int]], colors: Optional[list[int]]
+    interval: BruhatInterval,
+    hasse: list[list[int]],
+    colors: Optional[list[int]],
+    cells: dict[int, list[int]],
 ) -> Optional[list[int]]:
     """Backtracking individualization-refinement from stable ``colors`` of
-    [e, w] and its dual over ``hasse``, at the root their refined rank
-    colors; returns ids mapping x to its image under some order-reversing
-    bijection, or None (at once when ``colors`` is None).  x and each
-    candidate image, of one rank, share a fresh color.  That two-vertex cell
-    is the only splitter the refinement needs: every other cell was already
-    equitable, and the rest of the old cell counts as the old cell less the
-    new one."""
+    [e, w] and its dual over ``hasse``, with ``cells`` their cell map;
+    returns ids mapping x to its image under some order-reversing
+    bijection, or None (at once when ``colors`` is None).  x is the least
+    vertex of the smallest nontrivial cell, the one holding the least
+    vertex among ties, and its candidate images are that cell's dual
+    vertices in increasing order, so the choice depends on the partition
+    alone, not on its labels.  x and each candidate share a fresh color in
+    a copy of the cell map.  That two-vertex cell is the only splitter the
+    refinement needs: every other cell was already equitable, and the rest
+    of the old cell counts as the old cell less the new one."""
     if colors is None:
         return None
     size = interval.size
-    cells: dict[int, list[int]] = {}
-    for x in range(size):
-        cells.setdefault(colors[x], []).append(x)
     if len(cells) == size:
-        # the halves share one multiset, so the dual half is discrete too
+        # the halves share one multiset, so every cell is one vertex of each
         dual_of = {colors[size + y]: y for y in range(size)}
         mapping = [dual_of[colors[x]] for x in range(size)]
         return mapping if _reverses_covers(interval, mapping) else None
-    # individualize the first vertex of the smallest nontrivial cell
-    x = min((cell for cell in cells.values() if len(cell) > 1), key=len)[0]
-    fresh = max(colors) + 1
-    for y in range(size):
-        if colors[size + y] == colors[x]:
-            trial = list(colors)
-            trial[x] = trial[size + y] = fresh
-            refined = _refine_to_stable(hasse, trial, [fresh])
-            hit = _search_antiautomorphism(interval, hasse, refined)
-            if hit is not None:
-                return hit
+    cell = min((c for c in cells.values() if len(c) > 2), key=lambda c: (len(c), min(c)))
+    x, c = min(cell), colors[cell[0]]
+    fresh = max(cells) + 1
+    for y in sorted(v for v in cell if v >= size):
+        trial = list(colors)
+        trial[x] = trial[y] = fresh
+        split = dict(cells)
+        split[c] = [v for v in cell if v != x and v != y]
+        split[fresh] = [x, y]
+        refined = _refine_to_stable(hasse, trial, [fresh], split)
+        hit = _search_antiautomorphism(interval, hasse, refined, split)
+        if hit is not None:
+            return hit
     return None
 
 

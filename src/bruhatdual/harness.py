@@ -21,7 +21,6 @@ import functools
 import itertools
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -109,7 +108,9 @@ def _sd_predicates(
     and interval-level certification; and the full-mode certificate, when
     one was made.
 
-    Full mode refutes SD4 from w's rank-1 counts when they differ, without
+    SD1 is False, without building the level graphs' big sides, when their
+    small sides, the atoms and the coatoms of [e, w], differ in size.  Full
+    mode refutes SD4 from its own call for the same rank-1 counts, without
     building [e, w].  Otherwise, given ``transport`` = (g, certificate of
     [e, v]) with g(v) = w, it carries that bijection to [e, w] and verifies
     it there; without one it runs the search.
@@ -118,15 +119,18 @@ def _sd_predicates(
     the NotPolishedError and hinted-certification ValueError that decide a
     predicate; a carried bijection that fails verification is one, at stage
     transport_certificate."""
-    stage = "gamma_graphs_direct"
+    stage = "rank_one_counts"
     try:
-        lw = w.length()
-        if lw < 2:
-            sd1 = True
-        else:
-            lower, upper = gamma_graphs_direct(w)
-            stage = "bipartite_isomorphic"
-            sd1 = bipartite_isomorphic(lower, upper) is not None
+        sd1 = True
+        if w.length() >= 2:
+            # the level graphs' small sides: no isomorphism when their sizes differ
+            atoms, coatoms = rank_one_counts(w)
+            sd1 = False
+            if atoms == coatoms:
+                stage = "gamma_graphs_direct"
+                lower, upper = gamma_graphs_direct(w)
+                stage = "bipartite_isomorphic"
+                sd1 = bipartite_isomorphic(lower, upper) is not None
 
         stage = "selfdual_pattern_witness"
         witness = selfdual_pattern_witness(w)
@@ -307,6 +311,9 @@ def _worker_count(jobs: int, n_chunks: int) -> int:
 def _run_chunks(worker, chunk_args: list, jobs: int) -> list:
     workers = _worker_count(jobs, len(chunk_args))
     if workers > 1:
+        # imported here: a serial run or an analyze call loads no pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, chunk_args))
     return [worker(a) for a in chunk_args]

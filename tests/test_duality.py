@@ -5,14 +5,23 @@ from collections import Counter
 import pytest
 
 from conftest import longest_permutation
-from oracle_utils import SMOOTH_PATTERNS, all_one_lines, brute_avoids_all, brute_rank_profile
+from oracle_utils import (
+    SIX_AVOIDING_COUNTS,
+    SMOOTH_PATTERNS,
+    all_one_lines,
+    brute_avoids_all,
+    brute_rank_profile,
+)
 
+from bruhatdual import duality
 from bruhatdual.duality import (
     DualityCertificate,
     DualityMap,
     LevelGraph,
+    _degree_start,
     _hasse_diagram,
     _refine_to_stable,
+    _reverses_covers,
     bipartite_isomorphic,
     certify_self_dual,
     duality_map,
@@ -191,6 +200,13 @@ def degree_colors(interval):
     """Reference root colors read off ``down``: (rank, up-degree, down-degree)
     of [e, w] and its dual, a dual vertex taking its rank in the dual and its
     degrees swapped; None when the halves' multisets part."""
+    colors = degree_start_colors(interval)
+    size = interval.size
+    return colors if Counter(colors[:size]) == Counter(colors[size:]) else None
+
+
+def degree_start_colors(interval):
+    """degree_colors without the multiset check."""
     size, down = interval.size, interval.down
     downs = list(map(len, down))
     ups = [0] * size
@@ -199,8 +215,7 @@ def degree_colors(interval):
             ups[y] += 1
     table = {}
     keys = zip(rank_colors(interval), ups + downs, downs + ups)
-    colors = [table.setdefault(key, len(table)) for key in keys]
-    return colors if Counter(colors[:size]) == Counter(colors[size:]) else None
+    return [table.setdefault(key, len(table)) for key in keys]
 
 
 def first_occurrence(colors):
@@ -560,7 +575,9 @@ class TestCertify:
     def test_rank_and_degree_starts_agree(self, ws):
         # an equitable partition finer than the ranks separates degrees, the
         # neighbor counts in the rank cells above and below, so refining the
-        # rank colors reaches the partition the degree colors reach
+        # rank colors reaches the partition the degree colors reach; so does
+        # the package's degree start, which queues all but the largest part
+        # of each rank cell
         parted = 0
         for w in ws:
             interval = build_interval(w)
@@ -569,8 +586,49 @@ class TestCertify:
             refined = None if start is None else _refine_to_stable(hasse, start)
             expected = first_occurrence(refined)
             assert first_occurrence(_refine_to_stable(hasse, rank_colors(interval))) == expected
+            colors, splitters, cells = _degree_start(interval, hasse)
+            assert first_occurrence(colors) == first_occurrence(degree_start_colors(interval))
+            seeded = _refine_to_stable(hasse, colors, splitters, cells)
+            assert first_occurrence(seeded) == expected
             parted += start is None
         assert parted
+
+    @pytest.mark.parametrize(
+        "ws",
+        [
+            [Permutation(im) for n in range(1, 6) for im in all_one_lines(n)],
+            list(group_elements(CoxeterPresentation("B", 3))),
+        ],
+        ids=["S1-5", "B3"],
+    )
+    def test_carried_cells_match_colors(self, monkeypatch, ws):
+        # the search carries one cell map from refinement to refinement and
+        # never rebuilds it from colors: at the root and after every
+        # individualization it holds the vertices of each color, in and out
+        real = duality._refine_to_stable
+        refinements = []
+
+        def grouping(colors):
+            cells = {}
+            for v, c in enumerate(colors):
+                cells.setdefault(c, []).append(v)
+            return cells
+
+        def checked(hasse, colors, splitters=None, cells=None):
+            assert {c: sorted(cell) for c, cell in cells.items()} == grouping(colors)
+            refined = real(hasse, colors, splitters, cells)
+            if refined is not None:
+                assert {c: sorted(cell) for c, cell in cells.items()} == grouping(refined)
+            refinements.append(colors)
+            return refined
+
+        monkeypatch.setattr(duality, "_refine_to_stable", checked)
+        roots = 0
+        for w in ws:
+            before = len(refinements)
+            certify_self_dual(build_interval(w))
+            roots += len(refinements) > before
+        assert 0 < roots < len(refinements)
 
     def test_atoms_refutation_builds_no_whole_interval_lists(self):
         refuted = 0
@@ -621,6 +679,7 @@ class TestCertify:
                 continue
             interval = build_interval(w)
             assert certify_self_dual(interval, polished_decompose(w)).is_self_dual
+            assert "down" not in vars(interval)  # the cover check reads the cover graph
             assert certify_self_dual(interval).is_self_dual
 
     @pytest.mark.parametrize("n", [4, 5])
@@ -808,9 +867,35 @@ class TestTransport:
                 target = build_interval(Permutation(g(im)))
                 moved = transport_certificate(cert, target, g)
                 assert moved.kind == "explicit-bijection" and moved.interval is target
+                assert "down" not in vars(target)
                 assert reverses_order(target, moved.image)
                 carried += 1
         assert carried > 0 or n < 3
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_graph_id_cover_check_matches_down_lists(self, n):
+        # the cover check on graph ids agrees with one on the sorted down
+        # lists for every search and hinted certificate, and rejects a found
+        # bijection whose top and bottom images are swapped
+        checked = 0
+        for im in all_one_lines(n):
+            w = Permutation(im)
+            interval = build_interval(w)
+            certs = [certify_self_dual(interval)]
+            if brute_avoids_all(im):
+                certs.append(certify_self_dual(interval, polished_decompose(w)))
+            for cert in certs:
+                if not cert.is_self_dual:
+                    continue
+                assert _reverses_covers(interval, cert.image) and reverses_order(interval, cert.image)
+                checked += 1
+                for i, j in ((0, -1), (1, 2)):
+                    if interval.size > 2:
+                        image = list(cert.image)
+                        image[i], image[j] = image[j], image[i]
+                        assert _reverses_covers(interval, image) == reverses_order(interval, image)
+                        assert i or not _reverses_covers(interval, image)
+        assert checked == 2 * SIX_AVOIDING_COUNTS[n]
 
     def test_corrupted_bijection_raises(self):
         cert = certify_self_dual(build_interval(parse_permutation("1342")))

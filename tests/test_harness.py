@@ -1,5 +1,9 @@
 import dataclasses
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -33,6 +37,20 @@ def failing_on(real, is_target, exc):
         return real(first, *rest)
 
     return stage
+
+
+def small_side_sizes(im):
+    """The sizes of the level graphs' small sides of [e, w], from w's one-line
+    tuple: |supp(w)|, the i < n with some value above i among w(1..i); and the
+    number of elements w covers, the inversions (i, j) with no value of
+    w(i+1..j-1) between w(j) and w(i)."""
+    n = len(im)
+    support = sum(max(im[:i]) > i for i in range(1, n))
+    covers = sum(
+        im[i] > im[j] and not any(im[j] < im[k] < im[i] for k in range(i + 1, j))
+        for i, j in itertools.combinations(range(n), 2)
+    )
+    return support, covers
 
 
 def is_2143(w):
@@ -106,6 +124,30 @@ class TestJobs:
             harness.verify_main(3, jobs=jobs)
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             harness.verify_topheavy(3, jobs=jobs)
+
+
+class TestPoolImport:
+    def test_pool_loaded_only_for_parallel_runs(self):
+        # a fresh interpreter that imports the harness and analyzes one
+        # element loads no process pool; a two-worker sweep still gives the
+        # serial report
+        code = (
+            "import sys\n"
+            "from bruhatdual.harness import analyze, verify_main\n"
+            "from bruhatdual.permutations import Permutation\n"
+            "assert analyze(Permutation((2, 1)))['self_dual']\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+            "serial, pooled = verify_main(3).to_dict(), verify_main(3, jobs=2).to_dict()\n"
+            "assert 'concurrent.futures.process' in sys.modules\n"
+            "serial.pop('wall_time'), pooled.pop('wall_time')\n"
+            "assert serial == pooled and serial['checked'] == 9, (serial, pooled)\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestSd4Mode:
@@ -218,8 +260,39 @@ class TestGammaGraphsDirect:
         ws = [Permutation(im) for im in itertools.permutations(range(1, 6))]
         for w in ws:
             harness._sd_predicates(w, "constructive-only")
-        assert len(marks) == len(ws) - 1 - 4  # all but e and the four s_i
+        # the big sides are built for the w of length >= 2 whose small sides match
+        matched = [
+            w for w in ws if w.length() >= 2 and len(set(small_side_sizes(w.images))) == 1
+        ]
+        assert len(marks) == len(matched) == 84
         assert built  # the counter sees the other stages build elements
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_small_side_exit(self, monkeypatch, n):
+        # SD1 is the direct graphs' isomorphism verdict, and it skips the
+        # graphs exactly when |supp(w)| and the number of elements w covers
+        # differ; on S_4 those are 3412 and 4231
+        real_direct = harness.gamma_graphs_direct
+        direct = []
+
+        def record(w):
+            direct.append(w.images)
+            return real_direct(w)
+
+        monkeypatch.setattr(harness, "gamma_graphs_direct", record)
+        exits = 0
+        for im in itertools.permutations(range(1, n + 1)):
+            w = Permutation(im)
+            if w.length() < 2:
+                continue
+            del direct[:]
+            row, _ = harness._sd_predicates(w, "constructive-only")
+            expected = duality.bipartite_isomorphic(*real_direct(w)) is not None
+            assert row["sd1_gamma_iso"] == expected
+            atoms, coatoms = small_side_sizes(im)
+            assert (direct == []) == (atoms != coatoms)
+            exits += atoms != coatoms
+        assert exits == {2: 0, 3: 0, 4: 2, 5: 31, 6: 341, 7: 3379}[n]
 
 
 class TestChunkOrder:
