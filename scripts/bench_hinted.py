@@ -83,6 +83,7 @@ UNIFORM_SEED = 5
 UNIFORM_SAMPLE = 2000
 # the stages harness._sd_predicates calls, as names in the harness module
 SD_STAGES = (
+    "rank_one_counts",
     "gamma_graphs_direct",
     "bipartite_isomorphic",
     "selfdual_pattern_witness",

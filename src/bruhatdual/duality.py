@@ -10,8 +10,7 @@ runs a worklist of splitter cells (Paige-Tarjan 1987) and revisits only the
 cells next to a split.  It starts from (rank, down-degree, up-degree)
 colors: the rank cells split once by every rank cell, which then count as
 processed splitters, so all but the largest part of each are queued
-(Hopcroft's rule).  The former degree start, ``_initial_colors``, queued
-every degree cell and so repeated that first pass in Python.  After an
+(Hopcroft's rule), and that first splitting pass is not repeated.  After an
 individualization the new two-vertex cell is the only splitter, and the
 cell map is carried from level to level, not rebuilt from the colors.  The
 halves' color multisets are compared once, on the stable partition.  Two
@@ -512,10 +511,10 @@ def _refine_to_stable(
     must be a cell the partition is already equitable with respect to, or
     the largest part of one (Hopcroft's start).  ``_degree_start`` passes
     all but the largest part of each rank cell, since its colors are the
-    rank cells split by every rank cell; queueing every part, as the
-    deleted ``_initial_colors`` start did, reaches the same partition with
-    one more splitting pass.  A caller that individualized a vertex pair
-    of an equitable partition passes only the pair's color.
+    rank cells split by every rank cell; queueing every part would reach
+    the same partition with one more splitting pass.  A caller that
+    individualized a vertex pair of an equitable partition passes only the
+    pair's color.
 
     ``cells`` maps each color to its vertices and is refined in place with
     ``colors``; None builds it from ``colors``.  A split replaces cell lists

@@ -91,8 +91,8 @@ class _ElementFailure(Exception):
         self.error = f"{type(error).__name__}: {error}"
         super().__init__(f"{stage}: {self.error}")
 
-    def record(self, n: int, w: Permutation) -> dict:
-        return {"n": n, "w": w.one_line(), "stage": self.stage, "error": self.error}
+    def record(self, w: Permutation) -> dict:
+        return {"n": w.n, "w": w.one_line(), "stage": self.stage, "error": self.error}
 
 
 # A Klein map taking an orbit's owner to another member, on one-line tuples,
@@ -191,7 +191,7 @@ _MAIN_TALLY = (("smooth", "smooth"), ("polished", "sd3_polished"), ("self_dual",
 
 
 def _main_checks(
-    n: int, w: Permutation, sd4_mode: str, transport: Optional[_Transport] = None
+    w: Permutation, sd4_mode: str, transport: Optional[_Transport] = None
 ) -> tuple[list[str], list[dict], Optional[DualityCertificate]]:
     """One element's self-duality tally keys, a violation when its
     predicates disagree, and its full-mode bijection, if the search or the
@@ -201,16 +201,23 @@ def _main_checks(
     verdicts = {row["sd1_gamma_iso"], row["sd2_patterns"], row["sd3_polished"]}
     if row["sd4_self_dual"] is not None:
         verdicts.add(row["sd4_self_dual"])
-    violations = [] if len(verdicts) == 1 else [{"n": n, "w": w.one_line(), "predicates": row}]
+    violations = [] if len(verdicts) == 1 else [{"n": w.n, "w": w.one_line(), "predicates": row}]
     return keys, violations, cert if cert is not None and cert.is_self_dual else None
 
 
-def _topheavy_checks(n: int, w: Permutation) -> tuple[tuple[str, ...], list[dict]]:
+def _topheavy_checks(w: Permutation) -> tuple[tuple[str, ...], list[dict], None]:
     """One element's top-heaviness checks: the rank inequality on every w,
-    then, when w is smooth of length >= 2, the degree inequality and its
-    equality case.  Returns the tally keys ("smooth" on every smooth w, with
-    "degree_equal" or "degree_strict" when its length is >= 2) and the
-    violations.
+    then, when w is smooth of length >= 2, the cover-degree majorization and
+    the equality case of its maxima.  Returns the tally keys ("smooth" on
+    every smooth w, with "degree_equal" or "degree_strict", from the maxima,
+    when its length is >= 2), the violations, and no certificate.
+
+    Majorization: sorted decreasingly, every prefix sum of the coatoms'
+    down-degrees is at least the atoms' up-degrees' one, with the same total
+    (each rank-2 and corank-2 element counts twice).  It is the strongest
+    form measured to hold on the smooth w of S_2..S_8, with equal sequences
+    exactly on the six-avoiders, not the paper's statement: its abstract
+    says only that covers between ranks are top-heavy.
 
     Raises _ElementFailure, naming the stage, on any exception."""
     violations = []
@@ -222,30 +229,32 @@ def _topheavy_checks(n: int, w: Permutation) -> tuple[tuple[str, ...], list[dict
         profile = rank_profile(interval)
         if any(profile[k] > profile[lw - k] for k in range(lw // 2 + 1)):
             violations.append(
-                {"n": n, "w": w.one_line(), "check": "rank-top-heavy", "profile": profile}
+                {"n": w.n, "w": w.one_line(), "check": "rank-top-heavy", "profile": profile}
             )
         stage = "selfdual_pattern_witness"
         witness = selfdual_pattern_witness(w)
         six = witness is None
         if not (six or witness.pattern.n == 5):
-            return (), violations
+            return (), violations, None
         if lw < 2:
-            return ("smooth",), violations
-        stage = "degree_extremes"
-        atom_up, coatom_down = degree_extremes(interval)
+            return ("smooth",), violations, None
+        stage = "atom_coatom_degrees"
+        atom_up, coatom_down = (sorted(d, reverse=True) for d in interval.atom_coatom_degrees())
     except Exception as exc:
         raise _ElementFailure(stage, exc) from exc
-    if atom_up > coatom_down:
+    prefixes = zip(itertools.accumulate(atom_up), itertools.accumulate(coatom_down))
+    if sum(atom_up) != sum(coatom_down) or any(a > c for a, c in prefixes):
         violations.append(
-            {"n": n, "w": w.one_line(), "check": "degree-top-heavy",
-             "extremes": [atom_up, coatom_down]}
+            {"n": w.n, "w": w.one_line(), "check": "degree-majorization",
+             "atom_up": atom_up, "coatom_down": coatom_down}
         )
-    if (atom_up == coatom_down) != six:
+    equal = atom_up[0] == coatom_down[0]
+    if equal != six:
         violations.append(
-            {"n": n, "w": w.one_line(), "check": "degree-equality-vs-patterns",
-             "extremes": [atom_up, coatom_down], "six_avoiding": six}
+            {"n": w.n, "w": w.one_line(), "check": "degree-equality-vs-patterns",
+             "extremes": [atom_up[0], coatom_down[0]], "six_avoiding": six}
         )
-    return ("smooth", "degree_equal" if atom_up == coatom_down else "degree_strict"), violations
+    return ("smooth", "degree_equal" if equal else "degree_strict"), violations, None
 
 
 def _orbits(n: int, first: int):
@@ -267,34 +276,31 @@ def _orbits(n: int, first: int):
             yield owner, sorted(members.items())
 
 
-def _chunk(check, args: tuple, carry: bool = False) -> tuple[int, Counter, list[dict]]:
-    """Run ``check(n, w, *rest)``, which returns (keys, violations), on
-    every member of the Klein orbits of the chunk ``args = (n, first,
-    *rest)``, owner first.  With ``carry`` the check also takes
-    ``transport=`` and returns a certificate third: None for the owner, and
-    (g, certificate) for another member g(owner) when the owner's check
-    returned one.  Returns the elements checked (a failed element counts: it
-    was attempted and reported), the tally keys counted and the violations,
-    failures recorded in the order met."""
+def _chunk(check, args: tuple) -> tuple[int, Counter, list[dict]]:
+    """Run ``check(w, *rest)``, which returns (keys, violations,
+    certificate), on every member of the Klein orbits of the chunk
+    ``args = (n, first, *rest)``, owner first.  When the owner's check
+    returns a certificate, each other member g(owner) is checked with
+    ``transport=(g, certificate)``.  Returns the elements checked (a failed
+    element counts: it was attempted and reported), the tally keys counted
+    and the violations, failures recorded in the order met."""
     n, first, *rest = args
     checked = 0
     tally: Counter[str] = Counter()
     violations: list[dict] = []
     for owner, members in _orbits(n, first):
-        cert = None
+        source = None
         for x, g in [(owner, None), *members]:
             w = Permutation(x)
             checked += 1
+            carried = {} if source is None else {"transport": (g, source)}
             try:
-                if not carry:
-                    keys, found = check(n, w, *rest)
-                elif g is None:
-                    keys, found, cert = check(n, w, *rest)
-                else:
-                    keys, found, _ = check(n, w, *rest, transport=None if cert is None else (g, cert))
+                keys, found, cert = check(w, *rest, **carried)
             except _ElementFailure as fail:
-                violations.append(fail.record(n, w))
+                violations.append(fail.record(w))
                 continue
+            if g is None:
+                source = cert
             tally.update(keys)
             violations.extend(found)
     return checked, tally, violations
@@ -320,31 +326,29 @@ def _run_chunks(worker, chunk_args: list, jobs: int) -> list:
 
 
 def _sweep(
-    theorem: str, ns: range, check, keys: tuple[str, ...], rest: tuple, jobs: int, carry: bool = False
+    theorem: str, ns: range, check, keys: tuple[str, ...], rest: tuple, jobs: int
 ) -> VerificationReport:
     """Run ``check`` on every element of S_n for n in ``ns``: one
     (n, first value, *rest) chunk of Klein orbits per first value of every
-    n, all handed to one pool, with ``carry`` as in _chunk.  The pool takes
-    the largest n first, so the longest chunks do not run last while a
-    worker idles.  Violations are sorted by n and one-line tuple, those of
-    one element kept in the order found, and each n's tallies list ``keys``
-    in order, zeros included, so the report does not depend on ``jobs``.
+    n, all handed to one pool, largest n first, so the longest chunks do not
+    run last while a worker idles.  Violations are sorted by n and one-line
+    tuple, those of one element kept in the order found, and each n's
+    tallies list ``keys`` in order, zeros included, so the report does not
+    depend on ``jobs``.
 
     Orbit chunks are uneven: chunk (n, 2) holds 36% of S_7 and 34% of S_8,
     so ``jobs`` beyond 3 shortens no sweep, and at ``jobs`` >= 3 a sweep
     whose checks share no work across an orbit waits on that chunk."""
     start = time.perf_counter()
-    chunks = [(n, first, *rest) for n in ns for first in range(1, n + 1)]
-    submitted = sorted(chunks, key=lambda args: -args[0])
-    worker = functools.partial(_chunk, check, carry=carry)
-    done = dict(zip(submitted, _run_chunks(worker, submitted, jobs)))
+    chunks = [(n, first, *rest) for n in reversed(ns) for first in range(1, n + 1)]
     checked = 0
     violations: list[dict] = []
     totals: dict[int, Counter[str]] = {n: Counter() for n in ns}
-    for args in chunks:
-        count, tally, found = done[args]
+    for (n, *_), (count, tally, found) in zip(
+        chunks, _run_chunks(functools.partial(_chunk, check), chunks, jobs)
+    ):
         checked += count
-        totals[args[0]].update(tally)
+        totals[n].update(tally)
         violations.extend(found)
     violations.sort(key=lambda v: (v["n"], parse_permutation(v["w"]).images))
     return VerificationReport(
@@ -370,17 +374,17 @@ def verify_main(
     if sd4_mode not in ("full", "constructive-only"):
         raise ValueError(f"unknown sd4 mode {sd4_mode!r}")
     keys = tuple(key for key, _ in _MAIN_TALLY)
-    # carry: each orbit owner's bijection goes to the other members
-    return _sweep("thm-main", range(1, n_max + 1), _main_checks, keys, (sd4_mode,), jobs, True)
+    return _sweep("thm-main", range(1, n_max + 1), _main_checks, keys, (sd4_mode,), jobs)
 
 
 def verify_topheavy(n_max: int, jobs: int = 1) -> VerificationReport:
     """Sweep every w in S_2..S_{n_max}: the rank inequality
     |P_k| <= |P_{l-k}| on every interval [e, w], at every n; and for smooth
-    w of length >= 2, max atom up-degree <= max coatom down-degree, with
-    equality exactly on the six-pattern avoiders.  The ``smooth`` tally
-    counts every smooth w, as in verify_main; ``degree_equal`` plus
-    ``degree_strict`` counts those of length >= 2.
+    w of length >= 2, the coatoms' down-degrees majorize the atoms'
+    up-degrees, with equal maxima exactly on the six-pattern avoiders (see
+    _topheavy_checks).  The ``smooth`` tally counts every smooth w, as in
+    verify_main; ``degree_equal`` plus ``degree_strict`` counts those of
+    length >= 2.
 
     The sweep shares verify_main's orbit chunks but checks every element on
     its own, so its longest chunk, (n_max, 2), is about a third of the work:

@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import inspect
 import itertools
 import os
 import pathlib
@@ -11,13 +13,16 @@ import pytest
 from oracle_utils import (
     SIX_AVOIDING_COUNTS,
     SMOOTH_COUNTS,
+    SMOOTH_PATTERNS,
     all_one_lines,
     brute_avoids_all,
+    brute_interval,
+    brute_length,
     brute_leq,
 )
 
 from bruhatdual import duality, harness
-from bruhatdual.intervals import subword_downset
+from bruhatdual.intervals import BruhatInterval, subword_downset
 from bruhatdual.permutations import (
     Permutation,
     inverse_images,
@@ -51,6 +56,31 @@ def small_side_sizes(im):
         for i, j in itertools.combinations(range(n), 2)
     )
     return support, covers
+
+
+def brute_covered(u):
+    """The one-line tuples u covers: one transposition that drops the length by one."""
+    lu = brute_length(u)
+    swapped = []
+    for i, j in itertools.combinations(range(len(u)), 2):
+        if u[i] > u[j]:
+            v = list(u)
+            v[i], v[j] = v[j], v[i]
+            swapped.append(tuple(v))
+    return [v for v in swapped if brute_length(v) == lu - 1]
+
+
+def brute_cover_degrees(top):
+    """The atoms' up-degrees and the coatoms' down-degrees of [e, top], each
+    sorted decreasingly, from the brute closure."""
+    lw = brute_length(top)
+    interval = brute_interval(top)
+    up = Counter(a for u in interval if brute_length(u) == 2 for a in brute_covered(u))
+    atom_up = sorted((up[a] for a in interval if brute_length(a) == 1), reverse=True)
+    coatom_down = sorted(
+        (len(brute_covered(c)) for c in interval if brute_length(c) == lw - 1), reverse=True
+    )
+    return atom_up, coatom_down
 
 
 def is_2143(w):
@@ -199,6 +229,66 @@ class TestTopheavy:
         assert tally == {"smooth": smooth, "degree_equal": six - 7, "degree_strict": smooth - six}
         assert (smooth, six - 7, smooth - six) == (1552, 1227, 318)
 
+    def test_degree_majorization_brute_s6(self):
+        # package-free: on every smooth w of length >= 2 in S_2..S_6 the
+        # coatoms' down-degrees majorize the atoms' up-degrees, with equal
+        # sequences exactly on the six-avoiders
+        equal = strict = 0
+        for n in range(2, 7):
+            for im in all_one_lines(n):
+                if brute_length(im) < 2 or not brute_avoids_all(im, SMOOTH_PATTERNS):
+                    continue
+                atom_up, coatom_down = brute_cover_degrees(im)
+                assert sum(atom_up) == sum(coatom_down)
+                assert all(
+                    a <= c
+                    for a, c in zip(itertools.accumulate(atom_up), itertools.accumulate(coatom_down))
+                )
+                assert (atom_up == coatom_down) == brute_avoids_all(im)
+                equal += atom_up == coatom_down
+                strict += atom_up != coatom_down
+        assert (equal, strict) == (416, 48)
+
+    @pytest.mark.parametrize(
+        "atom_up,coatom_down",
+        [
+            ([5, 5, 5, 3], [6, 4, 4, 4]),  # third prefix sum above; maxima in order
+            ([4, 4, 5, 5], [6, 4, 4, 5]),  # every prefix in order; totals differ
+        ],
+    )
+    def test_forced_majorization_failure(self, monkeypatch, atom_up, coatom_down):
+        # 34521 is smooth, not six-avoiding, with degrees [5, 5, 4, 4] and
+        # [6, 4, 4, 4]; degrees that break majorization but keep the maxima
+        # strict give exactly one violation, with both sequences sorted
+        clean = harness.verify_topheavy(5)
+        real = BruhatInterval.atom_coatom_degrees
+
+        def degrees(interval):
+            if interval.top.one_line() == "34521":
+                return list(atom_up), list(coatom_down)
+            return real(interval)
+
+        monkeypatch.setattr(BruhatInterval, "atom_coatom_degrees", degrees)
+        report = harness.verify_topheavy(5)
+        assert report.violations == [
+            {"n": 5, "w": "34521", "check": "degree-majorization",
+             "atom_up": sorted(atom_up, reverse=True), "coatom_down": sorted(coatom_down, reverse=True)}
+        ]
+        assert report.tallies == clean.tallies  # the maxima stay strict
+
+    def test_degree_failure_names_its_call(self, monkeypatch):
+        real = BruhatInterval.atom_coatom_degrees
+
+        def degrees(interval):
+            if interval.top.one_line() == "2143":
+                raise KeyError("boom")
+            return real(interval)
+
+        monkeypatch.setattr(BruhatInterval, "atom_coatom_degrees", degrees)
+        assert harness.verify_topheavy(4).violations == [
+            {"n": 4, "w": "2143", "stage": "atom_coatom_degrees", "error": "KeyError: 'boom'"}
+        ]
+
 
 class TestGammaGraphsDirect:
     def test_harness_name_is_the_duality_function(self):
@@ -343,6 +433,116 @@ class TestChunkOrder:
         owners = {min(klein_orbit(im)) for im in targets}
         assert len({owner[0] for owner in owners}) > 2 and not targets <= owners
         assert report.violations == expected
+
+
+class TestChunkContract:
+    # one chunk of S_5, (5, 2), driven with fake checks of the sweep contract
+    # check(w, *rest) -> (keys, violations, certificate)
+    CHUNK = (5, 2, "tag")
+
+    def orbits(self):
+        return {
+            min(klein_orbit(im)): klein_orbit(im)
+            for im in all_one_lines(5) if min(klein_orbit(im))[0] == 2
+        }
+
+    def test_owner_certificate_goes_to_its_other_members(self):
+        # owners with an even last value return a certificate naming
+        # themselves; exactly the other members of those orbits receive it,
+        # with a map taking the owner to the member
+        calls = {}
+
+        def check(w, tag, transport=None):
+            assert tag == "tag"
+            calls[w.images] = transport
+            return ["seen"], [], ("cert", w.images) if w.images[-1] % 2 == 0 else None
+
+        checked, tally, violations = harness._chunk(check, self.CHUNK)
+        orbits = self.orbits()
+        members = set().union(*orbits.values())
+        assert sorted(calls) == sorted(members) and checked == len(members) == sum(tally.values())
+        assert violations == []
+        carried = 0
+        for owner, orbit in orbits.items():
+            assert calls[owner] is None
+            for x in orbit - {owner}:
+                if owner[-1] % 2:
+                    assert calls[x] is None
+                else:
+                    g, cert = calls[x]
+                    assert cert == ("cert", owner) and g(owner) == x
+                    carried += 1
+        assert 0 < carried < len(members) - len(orbits)
+
+    def test_check_without_certificates_gets_no_transport(self):
+        # a check with no transport parameter, like _topheavy_checks: any
+        # transport passed would raise TypeError
+        seen = []
+
+        def check(w, tag):
+            seen.append(w.images)
+            return [], [{"n": w.n, "w": w.one_line()}], None
+
+        checked, _, violations = harness._chunk(check, self.CHUNK)
+        assert sorted(seen) == sorted(set().union(*self.orbits().values())) and checked == len(seen)
+        assert [v["w"] for v in violations] == ["".join(map(str, im)) for im in seen]
+
+    def test_failed_owner_carries_nothing(self):
+        # owners with an even last value fail; their other members are
+        # checked without transport, the other orbits still carry
+        calls = {}
+
+        def check(w, tag, transport=None):
+            calls[w.images] = transport
+            if transport is None and w.images[-1] % 2 == 0 and w.images == min(klein_orbit(w.images)):
+                raise harness._ElementFailure("certify_self_dual", RuntimeError("boom"))
+            return [], [], ("cert", w.images)
+
+        checked, _, violations = harness._chunk(check, self.CHUNK)
+        orbits = self.orbits()
+        failed = sorted(owner for owner in orbits if owner[-1] % 2 == 0)
+        assert 0 < len(failed) < len(orbits)
+        assert violations == [
+            {"n": 5, "w": "".join(map(str, owner)), "stage": "certify_self_dual",
+             "error": "RuntimeError: boom"}
+            for owner in failed
+        ]
+        assert checked == len(calls)
+        for owner, orbit in orbits.items():
+            assert calls[owner] is None
+            for x in orbit - {owner}:
+                assert (calls[x] is None) == (owner in failed)
+
+
+class TestStageList:
+    def test_bench_hinted_stages_are_the_ones_called(self, monkeypatch):
+        # every function harness imports from another bruhatdual module is
+        # wrapped; constructive-only _sd_predicates over S_1..S_5 calls
+        # exactly the stages scripts/bench_hinted.py times
+        scripts = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+        monkeypatch.syspath_prepend(str(scripts))
+        bench_hinted = importlib.import_module("bench_hinted")
+        called = set()
+
+        def wrap(name, fn):
+            def run(*args, **kwargs):
+                called.add(name)
+                return fn(*args, **kwargs)
+
+            return run
+
+        imported = [
+            name for name, fn in vars(harness).items()
+            if inspect.isfunction(fn) and fn.__module__.startswith("bruhatdual.")
+            and fn.__module__ != harness.__name__
+        ]
+        assert "rank_one_counts" in imported and "parse_permutation" in imported
+        for name in imported:
+            monkeypatch.setattr(harness, name, wrap(name, getattr(harness, name)))
+        for n in range(1, 6):
+            for im in all_one_lines(n):
+                harness._sd_predicates(Permutation(im), "constructive-only")
+        assert sorted(called) == sorted(bench_hinted.SD_STAGES)
 
 
 class TestOrbits:
