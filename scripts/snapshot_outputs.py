@@ -10,7 +10,9 @@ file each, so two checkouts can be compared with `diff -r`.
   verify_topheavy(6) and verify_counterexamples(), without `wall_time`;
 - certify/: one file per group, S_1..S_6 and B_3, with the search
   certificate of every element (kind, refinement trace, pairing as sorted
-  one-line pairs) and, for the six-pattern avoiders of S_n, the hinted one.
+  one-line pairs) and, for the six-pattern avoiders of S_n, the hinted one;
+- sd3/: one file per S_n, n = 1..7, with the polished decomposition of every
+  element (its blocks) or the text of the NotPolishedError that stops it.
 
 The package is imported from the environment, so point PYTHONPATH at the
 checkout to snapshot:
@@ -34,8 +36,14 @@ from bruhatdual.duality import certify_self_dual, gamma_lower, gamma_upper
 from bruhatdual.harness import verify_counterexamples, verify_main, verify_topheavy
 from bruhatdual.intervals import build_interval
 from bruhatdual.permutations import Permutation
-from bruhatdual.polished import avoids_selfdual_patterns, polished_decompose
+from bruhatdual.polished import (
+    NotPolishedError,
+    assemble_decomposition,
+    avoids_selfdual_patterns,
+    polished_decompose,
+)
 from bruhatdual.serialize import (
+    decomposition_to_dict,
     interval_to_dict,
     interval_to_dot,
     level_graph_to_dict,
@@ -72,11 +80,23 @@ def certify_docs(elements) -> list[dict]:
     return docs
 
 
+def sd3_docs(n: int) -> list[dict]:
+    docs = []
+    for im in itertools.permutations(range(1, n + 1)):
+        w = Permutation(im)
+        try:
+            doc = decomposition_to_dict(assemble_decomposition(w))
+        except NotPolishedError as exc:
+            doc = {"error": str(exc)}
+        docs.append({"w": w.one_line(), **doc})
+    return docs
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("outdir")
     outdir = pathlib.Path(ap.parse_args().outdir)
-    for sub in ("analyze", "export", "reports", "certify"):
+    for sub in ("analyze", "export", "reports", "certify", "sd3"):
         (outdir / sub).mkdir(parents=True, exist_ok=True)
     print(f"snapshotting {pathlib.Path(bruhatdual.__file__).parent}", file=sys.stderr)
 
@@ -109,6 +129,9 @@ def main() -> int:
     for name, elements in groups.items():
         text = json.dumps(certify_docs(elements), indent=1)
         (outdir / "certify" / f"{name}.json").write_text(text + "\n")
+    for n in range(1, 8):
+        text = json.dumps(sd3_docs(n), indent=1)
+        (outdir / "sd3" / f"S{n}.json").write_text(text + "\n")
 
     runs = [
         ("main_n6_full", lambda: verify_main(6, sd4_mode="full")),

@@ -35,11 +35,8 @@ from .polished import (
     PatternWitnessError,
     PolishedBlock,
     PolishedDecomposition,
-    TypeTag,
     avoids_selfdual_patterns,
     avoids_smooth_patterns,
-    classify_type,
-    decompose_step,
     is_polished_bruteforce,
     polished_decompose,
     reconstruct,
@@ -65,16 +62,13 @@ __all__ = [
     "PolishedBlock",
     "PolishedDecomposition",
     "SignedPermutation",
-    "TypeTag",
     "avoids_selfdual_patterns",
     "avoids_smooth_patterns",
     "bipartite_isomorphic",
     "bruhat_leq",
     "build_interval",
     "certify_self_dual",
-    "classify_type",
     "contains_pattern",
-    "decompose_step",
     "degree_extremes",
     "duality_map",
     "evaluate_word",

@@ -292,11 +292,11 @@ def parse_permutation(text: str) -> Permutation:
         tokens = [t.strip() for t in text.split(",")]
         values = []
         for t in tokens:
-            if not t or not (t.isdigit() or (t[0] == "-" and t[1:].isdigit())):
+            if not t or not (t.isdecimal() or (t[0] == "-" and t[1:].isdecimal())):
                 raise ParseError(f"bad token {t!r} in permutation text")
             values.append(int(t))
     else:
-        if not text.isdigit():
+        if not text.isdecimal():
             raise ParseError(f"bad token {text!r}: expected digits or comma-separated integers")
         values = [int(c) for c in text]
     n = len(values)

@@ -13,9 +13,10 @@ The classification, the reduction and the assembly run on one-line tuples:
 w_0 of a window of consecutive generators reverses values (on the left) or
 positions (on the right), s_b swaps two values or two positions, and the
 closing reconstruction check multiplies the blocks' Young-subgroup reversals
-(`permutations.young_reversal`).  classify_type and decompose_step wrap the
-tuple core, building TypeTag and Permutation only at the boundary;
-reconstruct stays generic over both element kinds.
+(`permutations.young_reversal`).  `_classify` and `_step` are the reduction's
+only interface, taking and returning tuples; Permutation appears only at
+assemble_decomposition's boundary, and reconstruct stays generic over both
+element kinds.
 """
 
 from __future__ import annotations
@@ -97,36 +98,24 @@ def selfdual_pattern_witness(w: Permutation) -> Optional[PatternOccurrence]:
 # -- type classification -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypeTag:
-    """Classification of a (smooth, w(1) != 1 unless trivial) permutation by
-    the regions around the staircase from (1, w(1)) down to (w^{-1}(1), 1).
-
-    tag: one of n, r0, r1, l0, l1.  t: one less than the number of staircase
-    entries.  c_chain: the staircase positions of w itself (for l types the
-    refinement is read off the inverse, but the chain reported is still w's).
-    """
-
-    tag: str
-    t: int
-    c_chain: tuple[int, ...]
-
-
-def classify_type(w: Permutation) -> TypeTag:
-    """Region classification; requires w smooth (3412- and 4231-avoiding).
-
-    Raises when the region structure is inconsistent with smoothness, or when
-    the r0/r1 refinement would need the 45321-type region to be nonempty.
-    """
-    return TypeTag(*_classify(w.images))
-
-
 def _text(x: tuple[int, ...]) -> str:
     return Permutation(x).one_line()
 
 
 def _classify(x: tuple[int, ...]) -> tuple[str, int, tuple[int, ...]]:
-    """classify_type on a one-line tuple, as (tag, t, c_chain)."""
+    """Classify a smooth (3412- and 4231-avoiding) one-line tuple x by the
+    regions around the staircase from (1, x(1)) down to (x^{-1}(1), 1), as
+    (tag, t, chain).
+
+    tag: one of n, r0, r1, l0, l1.  chain: the staircase positions, those up
+    to x^{-1}(1) whose values are at most x(1); t is one less than their
+    number, so x(1) = 1 gives type n with t = 0.  For l types the r0/r1
+    refinement is read off the inverse, but the chain reported is still x's.
+
+    Raises NotPolishedError when the region structure is inconsistent with
+    smoothness, or when the r0/r1 refinement would need the 45321-type region
+    to be nonempty.
+    """
     v1 = x[0]
     pos1 = x.index(1) + 1
     head = x[:pos1]
@@ -142,51 +131,39 @@ def _classify(x: tuple[int, ...]) -> tuple[str, int, tuple[int, ...]]:
     if not R and not L:
         return "n", t, chain
     if R:
-        return _r_refinement(x, chain, R), t, chain
+        if t == 1:
+            return "r0", t, chain
+        if any(a < chain[t - 2] for a in R):
+            raise NotPolishedError(
+                "region below the staircase head of {} nonempty: contains 45321", x
+            )
+        r1 = any(chain[t - 2] < a < chain[t - 1] for a in R)
+        return ("r1" if r1 else "r0"), t, chain
     mirror_tag, mirror_t, _ = _classify(inverse_images(x))
     if mirror_tag not in ("r0", "r1") or mirror_t != t:
         raise AssertionError(f"inconsistent mirror classification for {_text(x)}")
     return "l" + mirror_tag[1], t, chain
 
 
-def _r_refinement(x: tuple[int, ...], chain: tuple[int, ...], R: list[int]) -> str:
-    t = len(chain) - 1
-    if t == 1:
-        return "r0"
-    r2 = [a for a in R if a < chain[t - 2]]
-    if r2:
-        raise NotPolishedError(
-            "region below the staircase head of {} nonempty: contains 45321", x
-        )
-    r1 = [a for a in R if chain[t - 2] < a < chain[t - 1]]
-    return "r1" if r1 else "r0"
-
-
 # -- one-step reduction -----------------------------------------------------------
 
 
-def decompose_step(w: Permutation) -> tuple[Permutation, tuple[int, ...], TypeTag]:
-    """One reduction: strip leading fixed points, classify, multiply away the
-    longest element of the classified window K, per the table
-
-        n:  w_0(K) w = w w_0(K)     r0: w_0(K) w      r1: s_b w_0(K) w
-                                    l0: w w_0(K)      l1: w w_0(K) s_b
-
-    Returns (w', K, tag) with K in ambient generator indices.  The support of
-    w' is checked against the tabulated residual window; a violation means the
-    six-pattern precondition did not hold.
-    """
-    x, m, (tag, t, chain) = _step(w.images)
-    K = tuple(range(m + 1, m + t + 1))
-    return Permutation(x), K, TypeTag(tag, t, tuple(c + m for c in chain))
-
-
 def _step(x: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[str, int, tuple[int, ...]]]:
-    """decompose_step on a one-line tuple: (x', m, local classification),
-    where m counts x's leading fixed points, the classification is that of x
-    with them stripped, and K is m+1 .. m+t.  w_0(K) reverses the values
-    m+1 .. m+t+1 of x on the left and the positions on the right, and s_b
-    swaps two values on the left and two positions on the right."""
+    """One reduction of a one-line tuple x other than the identity: strip
+    its m leading fixed points, classify the rest, and multiply away the
+    longest element of the window K = m+1 .. m+t, per the table
+
+        n:  w_0(K) x = x w_0(K)     r0: w_0(K) x      r1: s_b w_0(K) x
+                                    l0: x w_0(K)      l1: x w_0(K) s_b
+
+    with b = m+t.  w_0(K) reverses the values m+1 .. b+1 of x on the left
+    and the positions on the right, and s_b swaps two values on the left and
+    two positions on the right.  Returns (x', m, (tag, t, chain)), the
+    classification being that of the stripped tail, so its chain is local.
+
+    The support of x' is checked against the tabulated residual window; a
+    violation means the six-pattern precondition did not hold.
+    """
     n = len(x)
     m = 0
     while m < n and x[m] == m + 1:
@@ -252,9 +229,9 @@ def assemble_decomposition(w: Permutation) -> PolishedDecomposition:
 
     Reduction steps are grouped into maximal chains of overlapping windows
     (an r1/l1 step shares its last generator with the next window); each
-    chain contributes one block, J taking the odd-position windows and J'
-    the even ones.  A chain ending in r0 (or n) multiplies to the left of
-    what remains, a chain ending in l0 to the right.
+    chain contributes one block whose J and J' take alternate windows.  A
+    chain ending in r0 (or n) multiplies to the left of what remains, a
+    chain ending in l0 to the right.
 
     Raises NotPolishedError whenever the structure breaks down, which on
     unchecked input is simply the signal that w is not polished.
@@ -264,65 +241,50 @@ def assemble_decomposition(w: Permutation) -> PolishedDecomposition:
     if w.images == e:
         return PolishedDecomposition(())
 
-    steps: list[tuple[tuple[int, ...], str]] = []
+    chains: list[list[tuple[tuple[int, ...], str]]] = []
+    chain: list[tuple[tuple[int, ...], str]] = []
+    prev: Optional[tuple[tuple[int, ...], str]] = None
     x = w.images
     while x != e:
         x, m, (tag, t, _) = _step(x)
-        steps.append((tuple(range(m + 1, m + t + 1)), tag))
-
-    # adjacency bookkeeping between consecutive windows
-    for (K1, tag1), (K2, _) in zip(steps, steps[1:]):
-        b, a = K1[-1], K2[0]
-        if tag1 == "n":
-            ok = b < a - 1
-        elif tag1 in ("r0", "l0"):
-            ok = b == a - 1
-        else:
-            ok = b == a
-        if not ok:
-            raise NotPolishedError(f"window adjacency violated after {tag1} step: {K1} vs {K2}")
-
-    runs: list[list[tuple[tuple[int, ...], str]]] = []
-    cur: list[tuple[tuple[int, ...], str]] = []
-    for K, tag in steps:
-        cur.append((K, tag))
+        K = tuple(range(m + 1, m + t + 1))
+        if prev is not None:
+            K1, tag1 = prev
+            gap = K[0] - K1[-1]
+            if tag1 == "n":
+                ok = gap > 1
+            elif tag1 in ("r0", "l0"):
+                ok = gap == 1
+            else:
+                ok = gap == 0
+            if not ok:
+                raise NotPolishedError(f"window adjacency violated after {tag1} step: {K1} vs {K}")
+        prev = K, tag
+        chain.append(prev)
         if tag in ("n", "r0", "l0"):
-            runs.append(cur)
-            cur = []
-    if cur:
+            chains.append(chain)
+            chain = []
+    if chain:
         raise NotPolishedError("reduction ended on an overlapping step")
 
-    placed: list[tuple[PolishedBlock, bool]] = []
-    for run in runs:
-        interior = [tag for _, tag in run[:-1]]
-        if any(tag not in ("r1", "l1") for tag in interior):
-            raise NotPolishedError(f"non-overlapping step inside a chain: {interior}")
+    left: list[PolishedBlock] = []
+    right: list[PolishedBlock] = []
+    for chain in chains:
+        interior = [tag for _, tag in chain[:-1]]
         if any(a == b for a, b in zip(interior, interior[1:])):
             raise NotPolishedError(f"overlapping steps fail to alternate: {interior}")
         # Window side: an r-flavored factor's longest element lands left of
         # the shared boundary generators, an l-flavored one right of them;
         # sides then alternate along the chain, the final window included
         # (its own r0/l0 flavor decides only the placement, not the side).
-        first_in_j = run[0][1] in ("r1", "r0", "n")
-        J: set[int] = set()
-        Jp: set[int] = set()
-        for pos, (K, _) in enumerate(run):
-            in_j = first_in_j == (pos % 2 == 0)
-            (J if in_j else Jp).update(K)
-        meet = frozenset(K[-1] for K, _ in run[:-1])
-        if frozenset(J) & frozenset(Jp) != meet:
+        odd = frozenset(g for K, _ in chain[0::2] for g in K)
+        even = frozenset(g for K, _ in chain[1::2] for g in K)
+        J, Jp = (odd, even) if chain[0][1] in ("r1", "r0", "n") else (even, odd)
+        if J & Jp != {K[-1] for K, _ in chain[:-1]}:
             raise NotPolishedError("window overlaps disagree with J and J' intersection")
-        block = PolishedBlock(frozenset(J) | frozenset(Jp), frozenset(J), frozenset(Jp))
-        left = run[-1][1] in ("r0", "n")
-        placed.append((block, left))
-
-    ordered: list[PolishedBlock] = []
-    for block, left in reversed(placed):
-        if left:
-            ordered.insert(0, block)
-        else:
-            ordered.append(block)
-    decomp = PolishedDecomposition(tuple(ordered))
+        block = PolishedBlock(J | Jp, J, Jp)
+        (right if chain[-1][1] == "l0" else left).append(block)
+    decomp = PolishedDecomposition(tuple(left + right[::-1]))
 
     # the block triples' product, each w_0 a Young-subgroup reversal of positions
     validate_decomposition(decomp, CoxeterPresentation("A", n - 1))

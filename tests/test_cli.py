@@ -53,8 +53,9 @@ class TestAnalyze:
         assert report["degree_extremes"] is None
 
     def test_parse_error_exit_code(self, runner):
-        # malformed PERM_TEXT is a usage error, like every other bad argument
-        for text in ("11", "", "1,,2", "12a", "1234567890"):
+        # malformed PERM_TEXT is a usage error, like every other bad argument;
+        # a superscript digit passes str.isdigit but int() rejects it
+        for text in ("11", "", "1,,2", "12a", "1234567890", "\u00b21", "1,\u00b2"):
             result = runner.invoke(main, ["analyze", text])
             assert result.exit_code == 2, (text, result.output)
             assert "PERM_TEXT" in result.output

@@ -50,6 +50,17 @@ class TestParse:
         with pytest.raises(ParseError, match="not a bijection"):
             parse_permutation("1123")
 
+    @pytest.mark.parametrize("text", ["\u00b21", "1,\u00b2", "\u24602", "2,-\u00b9"])
+    def test_non_decimal_digits_rejected(self, text):
+        # superscript and circled digits pass str.isdigit but not int()
+        with pytest.raises(ParseError, match="bad token"):
+            parse_permutation(text)
+
+    def test_other_decimal_scripts_parse(self):
+        # Arabic-Indic and fullwidth digits are decimal, and int() reads them
+        assert parse_permutation("\u0663\u0661\u0662").images == (3, 1, 2)
+        assert parse_permutation("\uff12,\uff11").images == (2, 1)
+
 
 class TestBasics:
     def test_length_identity(self):

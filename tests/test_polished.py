@@ -26,12 +26,11 @@ from bruhatdual.polished import (
     PatternWitnessError,
     PolishedBlock,
     PolishedDecomposition,
-    TypeTag,
+    _classify,
+    _step,
     assemble_decomposition,
     avoids_selfdual_patterns,
     avoids_smooth_patterns,
-    classify_type,
-    decompose_step,
     is_polished_bruteforce,
     polished_decompose,
     reconstruct,
@@ -104,7 +103,7 @@ class TestNotPolishedText:
 
     def test_step_text_names_renormalized_tail(self):
         with pytest.raises(NotPolishedError) as info:
-            decompose_step(parse_permutation("1265734"))
+            _step(parse_permutation("1265734").images)
         assert str(info.value) == "43512 has both side regions nonempty: contains 3412"
 
     def test_text_is_formatted_only_when_read(self, monkeypatch):
@@ -120,72 +119,78 @@ class TestNotPolishedText:
         assert str(info.value) == "staircase of 4231 not decreasing: contains 4231"
         assert named == [(4, 2, 3, 1)]
 
-    def test_boundary_types(self):
-        tag = classify_type(parse_permutation("34521"))
-        assert type(tag) is TypeTag
-        w1, K, tag = decompose_step(parse_permutation("125643"))
-        assert type(w1) is Permutation and type(tag) is TypeTag
-        assert (w1.one_line(), K, tag) == ("123654", (3, 4), TypeTag("r1", 2, (3, 5, 6)))
+
+def _one_line(text: str) -> tuple[int, ...]:
+    return parse_permutation(text).images
+
+
+def _window(m: int, t: int) -> tuple[int, ...]:
+    # the generators K = m+1 .. m+t that a reduction step multiplies away
+    return tuple(range(m + 1, m + t + 1))
 
 
 class TestClassifyType:
     def test_34521(self):
-        tag = classify_type(parse_permutation("34521"))
-        assert (tag.tag, tag.t, tag.c_chain) == ("r1", 2, (1, 4, 5))
+        assert _classify(_one_line("34521")) == ("r1", 2, (1, 4, 5))
 
     def test_reversal_is_type_n(self):
-        tag = classify_type(longest_permutation(4))
-        assert (tag.tag, tag.t) == ("n", 3)
+        tag, t, _ = _classify(longest_permutation(4).images)
+        assert (tag, t) == ("n", 3)
 
     def test_first_entry_fixed(self):
-        tag = classify_type(parse_permutation("14325"))
-        assert (tag.tag, tag.t, tag.c_chain) == ("n", 0, (1,))
+        assert _classify(_one_line("14325")) == ("n", 0, (1,))
 
     def test_type_r0(self):
-        assert classify_type(parse_permutation("23451")).tag == "r0"
+        assert _classify(_one_line("23451"))[0] == "r0"
 
     def test_type_l_mirrors_inverse(self):
         w = parse_permutation("31245")
-        tag = classify_type(w)
-        mirror = classify_type(w.inverse())
-        assert tag.tag == "l0" and mirror.tag == "r0" and tag.t == mirror.t
+        tag, t, _ = _classify(w.images)
+        mirror_tag, mirror_t, _ = _classify(w.inverse().images)
+        assert tag == "l0" and mirror_tag == "r0" and t == mirror_t
 
     def test_3412_rejected(self):
         with pytest.raises(NotPolishedError, match="3412"):
-            classify_type(parse_permutation("3412"))
+            _classify(_one_line("3412"))
 
     def test_4231_rejected(self):
         with pytest.raises(NotPolishedError, match="4231"):
-            classify_type(parse_permutation("4231"))
+            _classify(_one_line("4231"))
 
     def test_45321_refinement_rejected(self):
         with pytest.raises(NotPolishedError, match="45321"):
-            classify_type(parse_permutation("45321"))
+            _classify(_one_line("45321"))
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_total_on_six_avoiders(self, n):
         for im in all_one_lines(n):
             w = Permutation(im)
             if brute_avoids_all(im) and not w.is_identity():
-                tag = classify_type(w)
-                assert tag.tag in ("n", "r0", "r1", "l0", "l1")
-                chain_vals = [w(c) for c in tag.c_chain]
+                tag, _, chain = _classify(im)
+                assert tag in ("n", "r0", "r1", "l0", "l1")
+                chain_vals = [w(c) for c in chain]
                 assert chain_vals == sorted(chain_vals, reverse=True)
-                assert w(tag.c_chain[-1]) == 1 or w(1) == 1
+                assert w(chain[-1]) == 1 or w(1) == 1
 
 
 class TestDecomposeStep:
     def test_reversal(self):
-        w1, K, tag = decompose_step(longest_permutation(4))
-        assert w1.is_identity() and K == (1, 2, 3) and tag.tag == "n"
+        x1, m, (tag, t, _) = _step(longest_permutation(4).images)
+        assert Permutation(x1).is_identity() and _window(m, t) == (1, 2, 3) and tag == "n"
 
     def test_s1(self):
-        w1, K, tag = decompose_step(parse_permutation("21"))
-        assert w1.is_identity() and K == (1,) and tag.tag == "n" and tag.t == 1
+        x1, m, (tag, t, _) = _step(_one_line("21"))
+        assert Permutation(x1).is_identity() and _window(m, t) == (1,) and tag == "n" and t == 1
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError, match="identity"):
-            decompose_step(identity(3))
+            _step(identity(3).images)
+
+    def test_leading_fixed_points_stripped(self):
+        # 125643 classifies as its tail 3421: an r1 step on the window 3, 4,
+        # whose chain is reported in the tail's positions
+        x1, m, local = _step(_one_line("125643"))
+        assert (x1, _window(m, local[1]), local) == ((1, 2, 3, 6, 5, 4), (3, 4), ("r1", 2, (1, 3, 4)))
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_step_preserves_avoidance(self, n):
@@ -194,8 +199,8 @@ class TestDecomposeStep:
             w = Permutation(im)
             if not brute_avoids_all(im) or w.is_identity():
                 continue
-            w1, _, _ = decompose_step(w)
-            assert brute_avoids_all(w1.images)
+            x1, _, _ = _step(im)
+            assert brute_avoids_all(x1)
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_r1_step_statistics(self, n):
@@ -206,25 +211,22 @@ class TestDecomposeStep:
             if not brute_avoids_all(im) or w.is_identity():
                 continue
             if w(1) != 1:
-                tag = classify_type(w)
-                if tag.tag != "r1":
+                tag, t, chain = _classify(im)
+                if tag != "r1":
                     continue
-                chain = tag.c_chain
-                r1_size = sum(
-                    1 for a in range(chain[tag.t - 2] + 1, chain[tag.t - 1]) if w(a) > w(1)
-                )
-                w1, _, _ = decompose_step(w)
-                if not w1.is_identity():
-                    tag1 = classify_type(_strip(w1))
-                    assert tag1.tag != "r1"
-                    assert tag1.t == r1_size + 1
+                r1_size = sum(1 for a in range(chain[t - 2] + 1, chain[t - 1]) if w(a) > w(1))
+                x1, _, _ = _step(im)
+                if not Permutation(x1).is_identity():
+                    tag1, t1, _ = _classify(_strip(x1))
+                    assert tag1 != "r1"
+                    assert t1 == r1_size + 1
 
 
-def _strip(w: Permutation) -> Permutation:
+def _strip(x: tuple[int, ...]) -> tuple[int, ...]:
     m = 0
-    while m < w.n and w(m + 1) == m + 1:
+    while m < len(x) and x[m] == m + 1:
         m += 1
-    return Permutation(tuple(w(i) - m for i in range(m + 1, w.n + 1)))
+    return tuple(v - m for v in x[m:])
 
 
 class TestPolishedDecompose:
