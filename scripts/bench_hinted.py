@@ -16,6 +16,11 @@ one part per run, printed as one JSON line.
   mean time per element for the six-pattern avoiders and for the rest, the
   per-element cost of an exhaustive constructive-only S_9 sweep.
 
+The script exits 1 when a part's result is wrong: an s9-sample certificate
+that is not constructive; a main sweep with violations, or whose `checked`
+is not the sum of k! for k = 1..n; an s9-uniform row whose SD1-SD3, and SD4
+where it is set, disagree.
+
 The package is imported from the environment, so point PYTHONPATH at the
 checkout to time, and alternate two checkouts to compare them:
 
@@ -24,7 +29,9 @@ checkout to time, and alternate two checkouts to compare them:
 
 import argparse
 import json
+import math
 import random
+import sys
 import time
 from collections import Counter
 
@@ -91,6 +98,7 @@ SD_STAGES = (
     "build_interval",
     "certify_self_dual",
 )
+SD_KEYS = ("sd1_gamma_iso", "sd2_patterns", "sd3_polished", "sd4_self_dual")
 
 
 def s9_uniform() -> dict:
@@ -118,10 +126,13 @@ def s9_uniform() -> dict:
         rng.shuffle(w)
         ws.append(Permutation(tuple(w)))
     spent = {True: [], False: []}  # six-avoiding or not: per-element seconds
+    disagreeing = 0
     for w in ws:
         start = time.perf_counter()
         row, _ = harness._sd_predicates(w, "constructive-only")
         spent[row["sd2_patterns"]].append(time.perf_counter() - start)
+        # SD4 is None where constructive-only mode leaves it unset
+        disagreeing += len({row[key] for key in SD_KEYS} - {None}) > 1
     total = sum(map(sum, spent.values()))
     return {
         "elements": len(ws),
@@ -131,14 +142,21 @@ def s9_uniform() -> dict:
         "ms_per_six_avoider": round(1000 * sum(spent[True]) / len(spent[True]), 3),
         "ms_per_other": round(1000 * sum(spent[False]) / len(spent[False]), 3),
         "stage_s": {stage: round(busy[stage], 3) for stage in SD_STAGES},
+        "disagreeing": disagreeing,
     }
 
 
+def sweep_correct(n: int):
+    expected = sum(math.factorial(k) for k in range(1, n + 1))
+    return lambda r: r["violations"] == 0 and r["checked"] == expected
+
+
+# part -> (run, whether its result is correct)
 PARTS = {
-    "s9-sample": s9_sample,
-    "s9-uniform": s9_uniform,
-    "main-n7": lambda: main_sweep(7),
-    "main-n8": lambda: main_sweep(8),
+    "s9-sample": (s9_sample, lambda r: r["all_constructive"]),
+    "s9-uniform": (s9_uniform, lambda r: r["disagreeing"] == 0),
+    "main-n7": (lambda: main_sweep(7), sweep_correct(7)),
+    "main-n8": (lambda: main_sweep(8), sweep_correct(8)),
 }
 
 
@@ -146,7 +164,11 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("part", choices=sorted(PARTS))
     part = ap.parse_args().part
-    print(json.dumps({"part": part, **PARTS[part]()}))
+    run, correct = PARTS[part]
+    result = run()
+    print(json.dumps({"part": part, **result}))
+    if not correct(result):
+        sys.exit(f"{part}: wrong result")
 
 
 if __name__ == "__main__":

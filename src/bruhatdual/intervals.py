@@ -1,10 +1,13 @@
 """Bruhat order: comparison, lower intervals [e, w] with their cover
 relations, and parabolic machinery (quotients, BP decompositions, m(u, J)).
 
-Everything here is generic over the two element kinds (Permutation and
-SignedPermutation): elements expose length(), inverse(), multiplication,
-times_simple_right/left, descent sets, support() and simple_indices(), and
-each class has a static down_cover_images(images) that maps a raw one-line
+Everything here is generic over the two element classes, Permutation and
+SignedPermutation, through what their base permutations.CoxeterElement
+(signed.Element) exposes.  The base gives ``images``, ``n``, ``w(i)``,
+is_identity(), identity_like(), multiplication, inverse(),
+times_simple_left() and left_descents(); each class supplies one_line(),
+simple_indices(), times_simple_right(), length(), right_descents(),
+support() and a static down_cover_images(images) that maps a raw one-line
 tuple to the tuples it covers, the one cover enumeration of its class.
 
 build_interval is the only constructor of BruhatInterval.  It reads covers
@@ -219,7 +222,7 @@ def build_interval(w: Element) -> BruhatInterval:
         gids += layer
         offsets.append(len(gids))
         layer = list(dict.fromkeys(chain.from_iterable(map(covers, layer))))
-    bottom_is_identity = graph.images[gids[-1]] == w.identity_like().images
+    bottom_is_identity = graph.images[gids[-1]] == tuple(range(1, w.n + 1))
     if len(offsets) != w.length() + 2 or offsets[-2] != len(gids) - 1 or not bottom_is_identity:
         raise AssertionError("interval lacks a unique identity minimum")
     return BruhatInterval(w, graph, gids, offsets)

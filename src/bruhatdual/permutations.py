@@ -2,6 +2,13 @@
 for Bruhat-order work: inversions, descents, support, pattern containment
 and minimal inversions.
 
+`CoxeterElement` is the frozen-dataclass base of `Permutation` and
+`signed.SignedPermutation`, with the group operations both share (the
+`intervals` docstring lists them).  `Permutation` supplies validation,
+one_line, simple_indices, times_simple_right, length, right_descents,
+support, down_cover_images, times_transposition_right and
+minimal_inversions.
+
 Conventions:
 - One-line notation is 1-based: ``w.images[i-1] == w(i)``.
 - Composition is functional, ``(u * v)(i) == u(v(i))``.
@@ -16,7 +23,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Self
 
 
 class ParseError(ValueError):
@@ -24,7 +31,60 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Permutation:
+class CoxeterElement:
+    """An element of S_n or B_n in one-line (window) notation, with the group
+    operations the two classes share.  A subclass validates ``images`` in
+    ``__post_init__`` and supplies the operations that depend on its group."""
+
+    images: tuple[int, ...]
+
+    def __post_init__(self):
+        raise NotImplementedError("each element class validates its own images")
+
+    @property
+    def n(self) -> int:
+        return len(self.images)
+
+    def __call__(self, i: int) -> int:
+        """w(i), with w(-i) = -w(i)."""
+        return self.images[i - 1] if i > 0 else -self.images[-i - 1]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.images})"
+
+    def is_identity(self) -> bool:
+        return all(v == i + 1 for i, v in enumerate(self.images))
+
+    def identity_like(self) -> Self:
+        return type(self)(tuple(range(1, self.n + 1)))
+
+    def __mul__(self, other: Self) -> Self:
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.n != other.n:
+            raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
+        u = self.images
+        return type(self)(tuple(u[j - 1] if j > 0 else -u[-j - 1] for j in other.images))
+
+    def inverse(self) -> Self:
+        """
+        >>> Permutation((3, 4, 5, 2, 1)).inverse().one_line()
+        '54123'
+        """
+        inv = [0] * self.n
+        for i, v in enumerate(self.images, 1):
+            inv[abs(v) - 1] = i if v > 0 else -i
+        return type(self)(tuple(inv))
+
+    def times_simple_left(self, i: int) -> Self:
+        """Multiply by s_i on the left (act on values): s_i w = (w^-1 s_i)^-1."""
+        return self.inverse().times_simple_right(i).inverse()
+
+    def left_descents(self) -> frozenset[int]:
+        return self.inverse().right_descents()
+
+
+class Permutation(CoxeterElement):
     """A permutation of {1..n} in one-line notation.
 
     >>> w = Permutation((3, 4, 5, 2, 1))
@@ -32,24 +92,10 @@ class Permutation:
     (3, 5, 7)
     """
 
-    images: tuple[int, ...]
-
     def __post_init__(self):
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
-
-    # -- basic structure ----------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.images})"
 
     def one_line(self) -> str:
         """Compact one-line string, digits if n <= 9 else comma-separated."""
@@ -57,43 +103,14 @@ class Permutation:
             return "".join(str(v) for v in self.images)
         return ",".join(str(v) for v in self.images)
 
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
-
-    def identity_like(self) -> Permutation:
-        return identity(self.n)
-
     def simple_indices(self) -> range:
         """Indices of the simple generators of the ambient group."""
         return range(1, self.n)
-
-    # -- group operations ----------------------------------------------------
-
-    def __mul__(self, other: Permutation) -> Permutation:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
-
-    def inverse(self) -> Permutation:
-        """
-        >>> Permutation((3, 4, 5, 2, 1)).inverse().one_line()
-        '54123'
-        """
-        return Permutation(inverse_images(self.images))
 
     def times_simple_right(self, i: int) -> Permutation:
         """Multiply by s_i on the right (swap positions i, i+1)."""
         im = list(self.images)
         im[i - 1], im[i] = im[i], im[i - 1]
-        return Permutation(tuple(im))
-
-    def times_simple_left(self, i: int) -> Permutation:
-        """Multiply by s_i on the left (swap values i, i+1)."""
-        im = list(self.images)
-        p, q = im.index(i), im.index(i + 1)
-        im[p], im[q] = im[q], im[p]
         return Permutation(tuple(im))
 
     def times_transposition_right(self, i: int, j: int) -> Permutation:
@@ -116,9 +133,6 @@ class Permutation:
     def right_descents(self) -> frozenset[int]:
         im = self.images
         return frozenset(i + 1 for i in range(self.n - 1) if im[i] > im[i + 1])
-
-    def left_descents(self) -> frozenset[int]:
-        return self.inverse().right_descents()
 
     def support(self) -> frozenset[int]:
         """Simple generators appearing in any reduced expression.

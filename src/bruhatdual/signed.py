@@ -3,6 +3,10 @@ presentation covering the two types this package works in.  A presentation
 names its group and answers the Dynkin-diagram queries the polished block
 data needs: in both types the diagram is the path 1 - 2 - ... - rank.
 
+`SignedPermutation` builds on the shared base `permutations.CoxeterElement`,
+which ``Element`` names, and supplies validation, one_line, simple_indices,
+times_simple_right, length, right_descents, support and down_cover_images.
+
 Generator conventions match the relations (s_1 s_2)^3 = e, (s_2 s_3)^4 = e:
 s_i for i < n is the adjacent transposition of positions (i, i+1) and s_n is
 the sign change at the last position, so the label-4 diagram edge sits at the
@@ -14,64 +18,25 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence
 
-from .permutations import Permutation, identity as perm_identity
+from .permutations import CoxeterElement, identity as perm_identity
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(CoxeterElement):
     """Window notation: images[i-1] = w(i), absolute values a permutation of
     1..n, each entry carrying its own sign."""
-
-    images: tuple[int, ...]
 
     def __post_init__(self):
         n = len(self.images)
         if sorted(abs(v) for v in self.images) != list(range(1, n + 1)) or 0 in self.images:
             raise ValueError(f"not a signed permutation of 1..{n}: {self.images}")
 
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        if i < 0:
-            return -self.images[-i - 1]
-        return self.images[i - 1]
-
-    def __repr__(self) -> str:
-        return f"SignedPermutation({self.images})"
-
     def one_line(self) -> str:
         return ",".join(str(v) for v in self.images)
 
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
-
-    def identity_like(self) -> SignedPermutation:
-        return signed_identity(self.n)
-
     def simple_indices(self) -> range:
         return range(1, self.n + 1)
-
-    # -- group operations ------------------------------------------------------
-
-    def __mul__(self, other: SignedPermutation) -> SignedPermutation:
-        if not isinstance(other, SignedPermutation):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"degree mismatch: {self.n} vs {other.n}")
-        return SignedPermutation(tuple(self(v) for v in other.images))
-
-    def inverse(self) -> SignedPermutation:
-        inv = [0] * self.n
-        for i, v in enumerate(self.images):
-            if v > 0:
-                inv[v - 1] = i + 1
-            else:
-                inv[-v - 1] = -(i + 1)
-        return SignedPermutation(tuple(inv))
 
     def times_simple_right(self, i: int) -> SignedPermutation:
         im = list(self.images)
@@ -80,19 +45,6 @@ class SignedPermutation:
         else:
             im[i - 1], im[i] = im[i], im[i - 1]
         return SignedPermutation(tuple(im))
-
-    def times_simple_left(self, i: int) -> SignedPermutation:
-        def act(v: int) -> int:
-            a = abs(v)
-            if i == self.n:
-                return -v if a == self.n else v
-            if a == i:
-                return (i + 1) * (1 if v > 0 else -1)
-            if a == i + 1:
-                return i * (1 if v > 0 else -1)
-            return v
-
-        return SignedPermutation(tuple(act(v) for v in self.images))
 
     # -- length and descents -----------------------------------------------------
 
@@ -103,12 +55,6 @@ class SignedPermutation:
         lw = self.length()
         return frozenset(
             i for i in self.simple_indices() if self.times_simple_right(i).length() < lw
-        )
-
-    def left_descents(self) -> frozenset[int]:
-        lw = self.length()
-        return frozenset(
-            i for i in self.simple_indices() if self.times_simple_left(i).length() < lw
         )
 
     def support(self) -> frozenset[int]:
@@ -184,7 +130,7 @@ def reflections_b(n: int) -> tuple[SignedPermutation, ...]:
     return tuple(out)
 
 
-Element = Union[Permutation, SignedPermutation]
+Element = CoxeterElement
 
 
 # -- Coxeter presentations ------------------------------------------------------------

@@ -544,6 +544,30 @@ class TestCertify:
         assert cert.refinement_trace == trace
 
     @pytest.mark.parametrize(
+        "text,tried,shape",
+        [
+            ("2143", 2, "2 cells of size 1, 1 cells of size 2"),
+            ("4321", 4, "6 cells of size 1, 5 cells of size 2, 2 cells of size 4"),
+        ],
+    )
+    def test_exhausted_search_refutes(self, monkeypatch, text, tried, shape):
+        # with every map rejected, the search tries each bijection its
+        # individualizations leave and then refutes at the stable root shape
+        maps = []
+
+        def reject(interval, image):
+            maps.append(image)
+            return False
+
+        monkeypatch.setattr(duality, "_reverses_covers", reject)
+        cert = certify_self_dual(build_interval(parse_permutation(text)))
+        assert cert.kind == "refuted" and cert.image is None
+        assert len(maps) == tried and len({tuple(m) for m in maps}) == tried
+        assert cert.refinement_trace == (
+            f"stable refinement reached ({shape}) but every pairing fails cover reversal"
+        )
+
+    @pytest.mark.parametrize(
         "ws",
         [
             [Permutation(im) for n in range(1, 7) for im in all_one_lines(n)],

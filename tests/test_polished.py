@@ -13,7 +13,7 @@ from oracle_utils import (
     brute_occurrences,
 )
 
-from bruhatdual.diagrams import type_a_diagram, type_b_diagram
+from bruhatdual.diagrams import type_a_diagram
 from bruhatdual.intervals import (
     is_bp_decomposition,
     longest_parabolic,
@@ -382,14 +382,14 @@ class TestBruteforcePolished:
         assert is_polished_bruteforce(longest_permutation(5), type_a_diagram(4))
         b3 = CoxeterPresentation("B", 3)
         w0 = longest_parabolic(b3.identity(), [1, 2, 3])
-        assert is_polished_bruteforce(w0, type_b_diagram(3))
+        assert is_polished_bruteforce(w0, b3)
 
     def test_34521_not_polished(self):
         assert not is_polished_bruteforce(parse_permutation("34521"), type_a_diagram(4))
 
     def test_b2_length_three_not_polished(self):
         b2 = CoxeterPresentation("B", 2)
-        diagram = type_b_diagram(2)
+        diagram = b2
         length3 = [x for x in group_elements(b2) if x.length() == 3]
         assert len(length3) == 2
         for x in length3:
@@ -398,7 +398,7 @@ class TestBruteforcePolished:
     def test_b2_census(self):
         # every element of B_2 except the two of length 3 is polished
         b2 = CoxeterPresentation("B", 2)
-        diagram = type_b_diagram(2)
+        diagram = b2
         verdicts = {x: is_polished_bruteforce(x, diagram) for x in group_elements(b2)}
         assert sum(verdicts.values()) == 6
         assert all(ok == (x.length() != 3) for x, ok in verdicts.items())

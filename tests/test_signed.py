@@ -9,6 +9,7 @@ from bruhatdual.intervals import (
     rank_profile,
     subword_downset,
 )
+from bruhatdual.permutations import Permutation
 from bruhatdual.signed import (
     CoxeterPresentation,
     SignedPermutation,
@@ -216,6 +217,38 @@ class TestSignedPermutationOps:
         assert signed_identity(3).support() == frozenset()
         s3 = evaluate_word([3], B3).element
         assert s3.support() == {3}
+
+
+@pytest.mark.parametrize("group", [A3, B3], ids=["S4", "B3"])
+class TestSharedOperations:
+    # the operations the element base supplies, against their definitions
+
+    def test_left_multiplication(self, group):
+        e = group.identity()
+        simple = {i: e.times_simple_right(i) for i in e.simple_indices()}
+        for x in group_elements(group):
+            for i, s in simple.items():
+                assert x.times_simple_left(i) == s * x
+
+    def test_left_descents_drop_length(self, group):
+        for x in group_elements(group):
+            drops = {i for i in x.simple_indices() if x.times_simple_left(i).length() < x.length()}
+            assert x.left_descents() == drops
+
+    def test_action_and_inverse(self, group):
+        for x in group_elements(group):
+            assert all(x(-i) == -x(i) for i in range(1, x.n + 1))
+            assert x * x.inverse() == group.identity()
+
+    def test_repr_and_equality_name_the_class(self, group):
+        kind, other = {
+            "A": ("Permutation", SignedPermutation),
+            "B": ("SignedPermutation", Permutation),
+        }[group.kind]
+        for x in group_elements(group):
+            assert repr(x) == f"{kind}({x.images})"
+            if all(v > 0 for v in x.images):
+                assert x != other(x.images) and other(x.images) != x
 
 
 class TestLongestElement:
