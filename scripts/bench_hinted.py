@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Time the hinted (constructive-map) path of self-duality certification:
-one part per run, printed as one JSON line.
+"""Time the hinted (constructive-map) path of self-duality certification
+and the cover graph under it: one part per run, printed as one JSON line.
 
 - s9-sample: 40 six-pattern avoiders of S_9, drawn by shuffling with
   random.Random(SEED) and kept by the package-free brute-force pattern
   check of scripts/census_bruteforce.py; times build_interval and
   certify_self_dual with the assembled decomposition as hint, in one fresh
   interpreter;
+- s8-closure: build_interval of S_8's w0 from an empty cover graph, in one
+  fresh interpreter: the cover kernel run on every node of S_8 once;
 - main-n7, main-n8: verify_main(n, sd4_mode="constructive-only", jobs=2),
   whose six-avoiders all take the hinted path;
 - s9-uniform: 2,000 uniform elements of S_9, drawn with random.Random(5);
@@ -17,9 +19,11 @@ one part per run, printed as one JSON line.
   per-element cost of an exhaustive constructive-only S_9 sweep.
 
 The script exits 1 when a part's result is wrong: an s9-sample certificate
-that is not constructive; a main sweep with violations, or whose `checked`
-is not the sum of k! for k = 1..n; an s9-uniform row whose SD1-SD3, and SD4
-where it is set, disagree.
+that is not constructive; an s8-closure graph that did not start empty or
+does not hold the 40,320 elements of S_8 and their 341,136 covers; a main
+sweep with violations, or whose `checked` is not the sum of k! for
+k = 1..n; an s9-uniform row whose SD1-SD3, and SD4 where it is set,
+disagree.
 
 The package is imported from the environment, so point PYTHONPATH at the
 checkout to time, and alternate two checkouts to compare them:
@@ -71,6 +75,27 @@ def s9_sample() -> dict:
         "hinted_s": round(done - built, 4),
         "mean_size": round(sum(iv.size for iv in intervals) / len(ws), 1),
         "all_constructive": all(c.kind == "constructive-map" for c in certs),
+    }
+
+
+S8_ELEMENTS = 40320
+S8_COVERS = 341136  # Bruhat covers in S_8, as the brute-force tests/oracle_utils.brute_covers counts them
+
+
+def s8_closure() -> dict:
+    from bruhatdual import intervals
+    from bruhatdual.permutations import Permutation
+
+    empty = Permutation not in intervals._COVER_GRAPHS
+    start = time.perf_counter()
+    intervals.build_interval(Permutation(tuple(range(8, 0, -1))))
+    elapsed = time.perf_counter() - start
+    graph = intervals._COVER_GRAPHS[Permutation]
+    return {
+        "build_interval_s": round(elapsed, 4),
+        "started_empty": empty,
+        "nodes": len(graph.images),
+        "covers": sum(map(len, graph.covers)),
     }
 
 
@@ -154,6 +179,10 @@ def sweep_correct(n: int):
 # part -> (run, whether its result is correct)
 PARTS = {
     "s9-sample": (s9_sample, lambda r: r["all_constructive"]),
+    "s8-closure": (
+        s8_closure,
+        lambda r: r["started_empty"] and (r["nodes"], r["covers"]) == (S8_ELEMENTS, S8_COVERS),
+    ),
     "s9-uniform": (s9_uniform, lambda r: r["disagreeing"] == 0),
     "main-n7": (lambda: main_sweep(7), sweep_correct(7)),
     "main-n8": (lambda: main_sweep(8), sweep_correct(8)),

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .intervals import BruhatInterval, bruhat_leq, rank_profile
 from .permutations import (
@@ -33,7 +33,7 @@ from .permutations import (
     young_reversal,
     young_windows,
 )
-from .polished import PolishedDecomposition
+from .polished import PolishedBlock, PolishedDecomposition
 from .signed import Element
 
 
@@ -223,66 +223,88 @@ def bipartite_isomorphic(
 # -- duality map -------------------------------------------------------------------
 
 
-def _split(
-    x: tuple[int, ...], windows: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Right parabolic factorization x = q p across a Young subgroup, as q and
-    p^{-1}: the positions of each window sorted by value are p^{-1}, 0-based,
-    and x read in that order is q, x sorted within each window."""
-    order = list(range(len(x)))
-    for lo, hi in windows:
-        order[lo:hi] = sorted(range(lo, hi), key=x.__getitem__)
-    return tuple(map(x.__getitem__, order)), tuple(order)
-
-
 class DualityMap:
     """The antiautomorphism candidate u -> w_0(J) u^{J'} w_0(J and J') u_{J'} w_0(J')
     of a polished decomposition of w, applied blockwise through the
     support-disjoint product structure, compiled once per (w, decomposition).
 
     Type A only: every parabolic subgroup involved is then a Young subgroup,
-    held as its position windows.  The right factorization across W_J sorts
-    within the windows of J, w_0(J) reverses them, and the map takes and
-    returns raw one-line tuples.  It factors level by level: with x = q u_k
-    split across the S windows of block k, map_k(x) = map_{k-1}(q) g_k(u_k),
-    where g_k is block k's five-factor product, one indexing pass through its
-    three constant reversals, and map_0 maps only the identity.  Both are
-    memoized, map_{k-1} on q below the top level and g_k on u_k (held as its
-    0-based inverse), in dicts this instance owns and fills from the
-    decomposition alone; a write stores the one value its key has, so
-    threads sharing an instance need no lock.  It makes no Bruhat
-    comparison: duality_map checks one image, certify_self_dual a whole
-    interval's by id.
+    held as its position windows, w_0(J) reverses the windows of J, and the
+    map takes and returns raw one-line tuples.  It factors level by level:
+    with x = q u_k split across W_S of block k, map_k(x) = map_{k-1}(q)
+    g_k(u_k), where g_k is block k's five-factor product and map_0 maps only
+    the identity.  A block's support S is connected, so W_S is one window
+    [lo, hi) of positions: q is x with that slice sorted, fixed by x's
+    entries outside the window, and u_k is fixed by the window's argsort.
+    With u = q' p' across J', g_k(u) is the product of two halves,
+    w_0(J) q' w_0(J and J') and p' w_0(J').  map_{k-1}(q) is memoized on x's
+    entries outside the window, g_k on the argsort, and each half on what
+    fixes it, in dicts this instance owns and fills from the decomposition
+    alone; a write stores the one value its key has, so threads sharing an
+    instance need no lock.
+
+    ``interval_ids`` maps every one-line tuple of an interval straight to
+    ids in one pass, with the top level's split, memo reads and composition
+    inline per node.  Calling the map on one tuple runs the same levels
+    through the same factor function.  It makes no Bruhat comparison:
+    duality_map checks one image, certify_self_dual a whole interval's by id.
     """
 
     def __init__(self, w: Element, decomp: PolishedDecomposition):
         if not isinstance(w, Permutation):
             raise ValueError(f"the compiled duality map is type A only, got {w!r}")
-        gens = w.simple_indices()
-        for block in decomp.blocks:
-            bad = sorted(i for i in block.S | block.J | block.Jp if i not in gens)
-            if bad:
-                raise ValueError(f"generator indices {bad} outside the group rank")
         n = w.n
         self.w = w
         self._identity = tuple(range(1, n + 1))
-        # per block, first to last: S windows, J' windows, the three w_0 as
-        # 0-based index tuples, and the memos of g_k and of map_{k-1}
-        self._levels = [
-            (
-                young_windows(b.S),
-                young_windows(b.Jp),
-                young_reversal(n, b.J),
-                young_reversal(n, b.J & b.Jp),
-                young_reversal(n, b.Jp),
-                {},
-                {},
-            )
-            for b in decomp.blocks
-        ]
+        self._levels = [self._level(n, b) for b in decomp.blocks]
+
+    @staticmethod
+    def _level(n: int, block: PolishedBlock) -> tuple:
+        """One block's S window (lo, hi), the slot of each position (the
+        start of its J' window, or the position itself outside J'), the three
+        w_0 as 0-based index tuples, and the memos of g_k, of map_{k-1} and of
+        g_k's two halves.  ValueError unless S is one window of generators of
+        S_n, covered by J and J'."""
+        windows = young_windows(block.S)
+        if len(windows) != 1 or block.J | block.Jp != block.S:
+            raise ValueError(f"block support {sorted(block.S)} is not one window covered by J and J'")
+        ((lo, hi),) = windows
+        if lo < 0 or hi > n:
+            raise ValueError(f"generator indices {sorted(block.S)} outside the group rank")
+        slot = list(range(n))
+        for a, b in young_windows(block.Jp):
+            slot[a:b] = [a] * (b - a)
+        w0 = [young_reversal(n, J) for J in (block.J, block.J & block.Jp, block.Jp)]
+        return (lo, hi, slot, *w0, {}, {}, {}, {})
 
     def __call__(self, images: tuple[int, ...]) -> tuple[int, ...]:
         return self._image(len(self._levels), images)
+
+    def interval_ids(self, interval: BruhatInterval) -> list[int]:
+        """The ids in ``interval`` of the images of its elements, in id order,
+        -1 for an image outside it, in one pass over the graph's one-line
+        tuples."""
+        xs = map(interval.graph.images.__getitem__, interval.gids)
+        return interval.ids_of(self._top_images(xs) if self._levels else map(self, xs))
+
+    def _top_images(self, xs: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+        """The images of xs, one at a time, so no list of a whole interval's
+        images is held.  The top level's split, memo reads and composition
+        run inline per tuple; the levels below and the factor misses are the
+        per-tuple map's."""
+        k = len(self._levels)
+        lo, hi, _, _, _, _, factors, below, _, _ = self._levels[-1]
+        positions = range(lo, hi)
+        for x in xs:
+            rest = x[:lo] + x[hi:]
+            head = below.get(rest)
+            if head is None:
+                head = below[rest] = self._image(k - 1, x[:lo] + tuple(sorted(x[lo:hi])) + x[hi:])
+            key = tuple(sorted(positions, key=x.__getitem__))
+            g = factors.get(key)
+            if g is None:
+                g = self._factor(k, key)
+            yield tuple(map(head.__getitem__, g))
 
     def _image(self, k: int, x: tuple[int, ...]) -> tuple[int, ...]:
         """map_k(x), the image of x under the first k blocks' maps."""
@@ -292,18 +314,38 @@ class DualityMap:
                     f"decomposition does not account for {Permutation(x)!r}: invalid for {self.w!r}"
                 )
             return x
-        s_windows, jp_windows, w0_j, w0_meet, w0_jp, factors, below = self._levels[k - 1]
-        q, u_inverse = _split(x, s_windows)
-        head = below.get(q)
+        lo, hi, _, _, _, _, factors, below, _, _ = self._levels[k - 1]
+        rest = x[:lo] + x[hi:]
+        head = below.get(rest)
         if head is None:
-            head = below[q] = self._image(k - 1, q)
-        g = factors.get(u_inverse)
+            head = below[rest] = self._image(k - 1, x[:lo] + tuple(sorted(x[lo:hi])) + x[hi:])
+        key = tuple(sorted(range(lo, hi), key=x.__getitem__))
+        g = factors.get(key)
         if g is None:
-            # u = q' p' across J'; g = w_0(J) q' w_0(J and J') p' w_0(J'), 0-based
-            quotient, p_inverse = _split(inverse_indices(u_inverse), jp_windows)
-            p = inverse_indices(p_inverse)
-            g = factors[u_inverse] = tuple([w0_j[quotient[w0_meet[p[i]]]] for i in w0_jp])
+            g = self._factor(k, key)
         return tuple(map(head.__getitem__, g))
+
+    def _factor(self, k: int, key: tuple[int, ...]) -> tuple[int, ...]:
+        """g_k(u) as a 0-based index tuple, for the u in W_S fixed by ``key``,
+        the window's positions in increasing order of value, stored in the
+        level's memo.  The slots of key's positions say which J' window holds
+        each value, which fixes q', and key stably sorted by slot is p'^{-1}.
+        Each half comes from its memo or is built there."""
+        lo, hi, slot, w0_j, w0_meet, w0_jp, factors, _, lefts, rights = self._levels[k - 1]
+        n = len(w0_j)
+        value_slots = tuple(map(slot.__getitem__, key))
+        left = lefts.get(value_slots)
+        if left is None:
+            ranks = sorted(range(hi - lo), key=value_slots.__getitem__)
+            quotient = (*range(lo), *[lo + r for r in ranks], *range(hi, n))
+            left = lefts[value_slots] = tuple([w0_j[quotient[i]] for i in w0_meet])
+        p_inverse = tuple(sorted(key, key=slot.__getitem__))
+        right = rights.get(p_inverse)
+        if right is None:
+            p = inverse_indices((*range(lo), *p_inverse, *range(hi, n)))
+            right = rights[p_inverse] = tuple(map(p.__getitem__, w0_jp))
+        g = factors[key] = tuple(map(left.__getitem__, right))
+        return g
 
 
 def duality_map(w: Element, decomp: PolishedDecomposition, u: Element) -> Element:
@@ -404,8 +446,7 @@ def certify_self_dual(
     is exhausted.
     """
     if decomp_hint is not None:
-        dual = DualityMap(interval.top, decomp_hint)
-        image = interval.ids_of(map(dual, map(interval.graph.images.__getitem__, interval.gids)))
+        image = DualityMap(interval.top, decomp_hint).interval_ids(interval)
         if not _is_antiautomorphism(interval, image):
             raise ValueError("decomposition hint does not induce an antiautomorphism")
         return DualityCertificate("constructive-map", None, interval, image)

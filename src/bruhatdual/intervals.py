@@ -5,19 +5,22 @@ Everything here is generic over the two element classes, Permutation and
 SignedPermutation, through what their base permutations.CoxeterElement
 (signed.Element) exposes.  The base gives ``images``, ``n``, ``w(i)``,
 is_identity(), identity_like(), multiplication, inverse(),
-times_simple_left() and left_descents(); each class supplies one_line(),
+times_simple_left(), left_descents() and down_cover_images(images), the
+tuples a raw one-line tuple covers; each class supplies one_line(),
 simple_indices(), times_simple_right(), length(), right_descents(),
-support() and a static down_cover_images(images) that maps a raw one-line
-tuple to the tuples it covers, the one cover enumeration of its class.
+support() and its cover kernel, a static down_cover_ids(images, ids, out)
+that finds the tuples ``images`` covers and interns each as it is found,
+the one place its class's cover rule is written.
 
 build_interval is the only constructor of BruhatInterval.  It reads covers
 from one cover graph per element class, kept for the life of the process and
 closed downward: each one-line tuple is interned to an integer id, and the
 first interval to reach it computes its covers and those of every new node
-below it, once.  The graph holds tuples and ids only and never enumerates a
-group up front, so its memory is bounded by the distinct elements the process
-has touched.  An interval holds graph ids in rank layers and builds its
-element objects, ranks and sorted down lists on first read.
+below it, once, one kernel call per new node.  The graph holds tuples and
+ids only and never enumerates a group up front, so its memory is bounded by
+the distinct elements the process has touched.  An interval holds graph ids
+in rank layers and builds its element objects, ranks and sorted down lists
+on first read.
 """
 
 from __future__ import annotations
@@ -166,11 +169,12 @@ class _CoverGraph:
     closed downward: every id has its covers.
 
     A one-line tuple gets the next integer id g the first time it is met and
-    is kept as ``images[g]``; ``covers[g]`` is the tuple of ids of
-    ``cls.down_cover_images(images[g])``.  The graph holds no element
-    objects.  Growth takes the lock; reads of ``covers`` do not need it,
-    because the lists only grow and a build reads only ids below a top its
-    own ``close_below`` has closed.
+    is kept as ``images[g]``; ``covers[g]`` is the tuple of ids that the
+    class's cover kernel ``cls.down_cover_ids`` returns for ``images[g]``,
+    interning into ``ids`` and ``images`` each cover not met before.  The
+    graph holds no element objects.  Growth takes the lock; reads of
+    ``covers`` do not need it, because the lists only grow and a build reads
+    only ids below a top its own ``close_below`` has closed.
     """
 
     def __init__(self, cls: type) -> None:
@@ -182,19 +186,17 @@ class _CoverGraph:
 
     def close_below(self, top: tuple[int, ...]) -> int:
         """Intern the one-line tuple top and return its id.  Under one hold
-        of the lock, compute in id order the covers of every node that has
-        none: all lie below top, since every other node was closed below
-        when the call that met it returned."""
+        of the lock, run the cover kernel in id order on every node that has
+        no covers yet: all lie below top, since every other node was closed
+        below when the call that met it returned."""
         with self._lock:
             ids, images, covers = self.ids, self.images, self.covers
             gid = ids.setdefault(top, len(ids))
             if gid == len(images):
                 images.append(top)
+            kernel = self.cls.down_cover_ids
             while len(covers) < len(images):
-                ys = self.cls.down_cover_images(images[len(covers)])
-                found = tuple([ids.setdefault(y, len(ids)) for y in ys])
-                images += [y for y, c in zip(ys, found) if c >= len(images)]
-                covers.append(found)
+                covers.append(kernel(images[len(covers)], ids, images))
             return gid
 
 

@@ -6,7 +6,7 @@ and minimal inversions.
 `signed.SignedPermutation`, with the group operations both share (the
 `intervals` docstring lists them).  `Permutation` supplies validation,
 one_line, simple_indices, times_simple_right, length, right_descents,
-support, down_cover_images, times_transposition_right and
+support, its cover kernel down_cover_ids, times_transposition_right and
 minimal_inversions.
 
 Conventions:
@@ -82,6 +82,18 @@ class CoxeterElement:
 
     def left_descents(self) -> frozenset[int]:
         return self.inverse().right_descents()
+
+    @classmethod
+    def down_cover_images(cls, im: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """One-line tuples of the elements that ``im`` covers, in the order of
+        the class's cover kernel ``down_cover_ids``, listed without interning.
+
+        >>> Permutation.down_cover_images((3, 1, 2))
+        [(1, 3, 2), (2, 1, 3)]
+        """
+        images: list[tuple[int, ...]] = []
+        cls.down_cover_ids(im, None, images)
+        return images
 
 
 class Permutation(CoxeterElement):
@@ -164,31 +176,55 @@ class Permutation(CoxeterElement):
         ]
 
     @staticmethod
-    def down_cover_images(im: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """One-line tuples of the elements covered by the permutation ``im``,
-        in minimal-inversion order: swap positions i < j whenever
-        w(j) < w(i) and no value between them sits at a position between
-        them.  Works on raw tuples, so nothing here is validated.
+    def down_cover_ids(
+        im: tuple[int, ...], ids: Optional[dict[tuple[int, ...], int]], images: list[tuple[int, ...]]
+    ) -> tuple[int, ...]:
+        """The cover kernel of S_n: the ids of the permutations that ``im``
+        covers, in minimal-inversion order.  A cover swaps positions i < j
+        whenever w(j) < w(i) and no value between them sits at a position
+        between them.  Each cover is interned as it is found: looked up in
+        ``ids`` once, and on a miss given the id len(images) and appended to
+        ``images``.  With ``ids`` None every cover is appended and the result
+        is empty.  Works on raw tuples, so nothing here is validated.
 
-        >>> Permutation.down_cover_images((3, 1, 2))
-        [(1, 3, 2), (2, 1, 3)]
+        >>> images = [(3, 1, 2), (2, 1, 3)]
+        >>> Permutation.down_cover_ids(images[0], {(3, 1, 2): 0, (2, 1, 3): 1}, images)
+        (2, 1)
+        >>> images
+        [(3, 1, 2), (2, 1, 3), (1, 3, 2)]
         """
-        n = len(im)
-        out = []
-        for i in range(n - 1):
+        swapped = list(im)  # im with positions i and j swapped, restored after each cover
+        found = []
+        for i, later in enumerate(_later_positions(len(im))):
             wi = im[i]
             best = 0  # largest value < wi seen strictly between i and j
-            for j in range(i + 1, n):
+            for j in later:
                 wj = im[j]
                 if best < wj < wi:
                     best = wj
-                    swapped = list(im)
                     swapped[i] = wj
                     swapped[j] = wi
-                    out.append(tuple(swapped))
+                    y = tuple(swapped)
+                    swapped[j] = wj
+                    if ids is None:
+                        images.append(y)
+                    else:
+                        g = ids.get(y)
+                        if g is None:
+                            g = ids[y] = len(images)
+                            images.append(y)
+                        found.append(g)
                     if wj == wi - 1:  # no value left between wj and wi
                         break
-        return out
+            swapped[i] = wi
+        return tuple(found)
+
+
+@functools.cache
+def _later_positions(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each position i < n - 1 of an n-tuple, the positions after it, in
+    order: the cover kernel's scan, built once per n."""
+    return tuple(tuple(range(i + 1, n)) for i in range(n - 1))
 
 
 def identity(n: int) -> Permutation:

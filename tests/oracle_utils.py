@@ -82,6 +82,43 @@ def brute_interval(top: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     return frozenset(seen)
 
 
+@lru_cache(maxsize=None)
+def brute_covers(w: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The one-line tuples w covers, in (i, j) order: each swap of positions
+    i < j that drops the length by exactly one."""
+    lw = brute_length(w)
+    out = []
+    for i, j in itertools.combinations(range(len(w)), 2):
+        v = list(w)
+        v[i], v[j] = v[j], v[i]
+        if brute_length(tuple(v)) == lw - 1:
+            out.append(tuple(v))
+    return tuple(out)
+
+
+def brute_bfs_interval(top: tuple[int, ...]):
+    """[e, top] by downward BFS over brute_covers: (elements, rank, down),
+    ids in order of first discovery, frontier by frontier, each node's
+    covers in (i, j) order, and each down list sorted."""
+    elements, index, rank, down = [top], {top: 0}, [brute_length(top)], [[]]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for xid in frontier:
+            for y in brute_covers(elements[xid]):
+                if y not in index:
+                    index[y] = len(elements)
+                    elements.append(y)
+                    rank.append(rank[xid] - 1)
+                    down.append([])
+                    nxt.append(index[y])
+                down[xid].append(index[y])
+        frontier = nxt
+    for ys in down:
+        ys.sort()
+    return elements, rank, down
+
+
 def brute_rank_profile(top: tuple[int, ...]) -> tuple[int, ...]:
     profile = [0] * (brute_length(top) + 1)
     for u in brute_interval(top):

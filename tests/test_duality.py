@@ -520,6 +520,48 @@ class TestDualityMap:
         with pytest.raises(ValueError, match="does not induce an antiautomorphism"):
             certify_self_dual(build_interval(w), polished_decompose(parse_permutation("3421")))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_interval_pass_matches_per_tuple_map(self, n):
+        # the pass runs the top level inline; its ids are those of the map
+        # applied one tuple at a time, on a fresh map each
+        avoiders = 0
+        for im in all_one_lines(n):
+            if not brute_avoids_all(im):
+                continue
+            w = Permutation(im)
+            d = polished_decompose(w)
+            interval = build_interval(w)
+            ones = map(interval.graph.images.__getitem__, interval.gids)
+            expected = interval.ids_of(map(DualityMap(w, d), ones))
+            assert DualityMap(w, d).interval_ids(interval) == expected
+            avoiders += 1
+        assert avoiders == SIX_AVOIDING_COUNTS[n]
+
+    def test_wrong_hints_raise(self):
+        # on [e, w], the map of another element's decomposition either meets
+        # an element it does not account for or sends e to v, not the top
+        ones = [im for im in all_one_lines(4) if brute_avoids_all(im)]
+        decomps = {im: polished_decompose(Permutation(im)) for im in ones}
+        reasons = Counter()
+        for im in ones:
+            interval = build_interval(Permutation(im))
+            for other in ones:
+                if other == im:
+                    continue
+                with pytest.raises(ValueError) as caught:
+                    certify_self_dual(interval, decomps[other])
+                text = str(caught.value)
+                reasons[next((r for r in ("does not account", "does not induce") if r in text), text)] += 1
+        assert sorted(reasons) == ["does not account", "does not induce"]
+        assert sum(reasons.values()) == 22 * 21
+
+    def test_unaccounted_element_raises_in_the_pass(self):
+        # 2134's decomposition accounts for e and 2134 only
+        w = parse_permutation("4321")
+        dual = DualityMap(w, polished_decompose(parse_permutation("2134")))
+        with pytest.raises(ValueError, match="does not account"):
+            dual.interval_ids(build_interval(w))
+
     def test_type_b_rejected(self):
         w = SignedPermutation((-2, 1))
         with pytest.raises(ValueError, match="type A only"):

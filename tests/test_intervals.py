@@ -13,6 +13,7 @@ from oracle_utils import (
     SMOOTH_PATTERNS,
     all_one_lines,
     brute_avoids_all,
+    brute_bfs_interval,
     brute_interval,
     brute_leq,
     brute_rank_profile,
@@ -294,6 +295,24 @@ class TestCoverGraph:
         assert warm == cold
         monkeypatch.setattr(intervals, "_COVER_GRAPHS", {})
         assert [interval_fields(build_interval(w)) for w in reversed(ws)][::-1] == cold
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_order_matches_package_free_bfs(self, monkeypatch, warm):
+        # ids, cover order and down lists against a BFS that shares no code
+        # with the cover kernel; reference_interval reads covers through
+        # minimal_inversions, which derives from the kernel
+        ones = [im for n in range(1, 7) for im in all_one_lines(n)]
+        ones += random.Random(27).sample(list(all_one_lines(7)), 200)
+        monkeypatch.setattr(intervals, "_COVER_GRAPHS", {})
+        for im in ones:
+            if not warm:
+                monkeypatch.setattr(intervals, "_COVER_GRAPHS", {})
+            top, elements, index, rank, down = interval_fields(build_interval(Permutation(im)))
+            expected, expected_rank, expected_down = brute_bfs_interval(im)
+            assert top.images == im
+            assert [x.images for x in elements] == expected
+            assert {x.images: i for x, i in index.items()} == {y: i for i, y in enumerate(expected)}
+            assert (rank, down) == (expected_rank, expected_down)
 
     def test_returned_lists_are_fresh(self):
         w = parse_permutation("34521")
