@@ -9,6 +9,9 @@ and the cover graph under it: one part per run, printed as one JSON line.
   interpreter;
 - s8-closure: build_interval of S_8's w0 from an empty cover graph, in one
   fresh interpreter: the cover kernel run on every node of S_8 once;
+- s8-profile: permutations.lower_rank_profile on every element of S_8, in
+  one fresh interpreter, then the profiles of 200 of them, drawn with
+  random.Random(PROFILE_SEED), against rank_profile(build_interval(w));
 - main-n7, main-n8: verify_main(n, sd4_mode="constructive-only", jobs=2),
   whose six-avoiders all take the hinted path;
 - s9-uniform: 2,000 uniform elements of S_9, drawn with random.Random(5);
@@ -20,7 +23,9 @@ and the cover graph under it: one part per run, printed as one JSON line.
 
 The script exits 1 when a part's result is wrong: an s9-sample certificate
 that is not constructive; an s8-closure graph that did not start empty or
-does not hold the 40,320 elements of S_8 and their 341,136 covers; a main
+does not hold the 40,320 elements of S_8 and their 341,136 covers; an
+s8-profile run whose asymmetric profiles are not exactly the 33,668
+singular elements of S_8, or whose sample differs from the interval; a main
 sweep with violations, or whose `checked` is not the sum of k! for
 k = 1..n; an s9-uniform row whose SD1-SD3, and SD4 where it is set,
 disagree.
@@ -32,6 +37,7 @@ checkout to time, and alternate two checkouts to compare them:
 """
 
 import argparse
+import itertools
 import json
 import math
 import random
@@ -96,6 +102,30 @@ def s8_closure() -> dict:
         "started_empty": empty,
         "nodes": len(graph.images),
         "covers": sum(map(len, graph.covers)),
+    }
+
+
+S8_SINGULAR = 33668  # 40,320 less the 6,652 smooth elements of S_8 (OEIS A032351)
+PROFILE_SEED = 8
+PROFILE_SAMPLE = 200
+
+
+def s8_profile() -> dict:
+    from bruhatdual.intervals import build_interval, rank_profile
+    from bruhatdual.permutations import Permutation, lower_rank_profile
+
+    ws = list(itertools.permutations(range(1, 9)))
+    start = time.perf_counter()
+    profiles = [lower_rank_profile(w) for w in ws]
+    elapsed = time.perf_counter() - start
+    sample = random.Random(PROFILE_SEED).sample(range(len(ws)), PROFILE_SAMPLE)
+    return {
+        "profile_s": round(elapsed, 4),
+        "us_per_element": round(1e6 * elapsed / len(ws), 1),
+        "asymmetric": sum(p != p[::-1] for p in profiles),
+        "sample_mismatches": sum(
+            profiles[i] != rank_profile(build_interval(Permutation(ws[i]))) for i in sample
+        ),
     }
 
 
@@ -182,6 +212,10 @@ PARTS = {
     "s8-closure": (
         s8_closure,
         lambda r: r["started_empty"] and (r["nodes"], r["covers"]) == (S8_ELEMENTS, S8_COVERS),
+    ),
+    "s8-profile": (
+        s8_profile,
+        lambda r: r["asymmetric"] == S8_SINGULAR and r["sample_mismatches"] == 0,
     ),
     "s9-uniform": (s9_uniform, lambda r: r["disagreeing"] == 0),
     "main-n7": (lambda: main_sweep(7), sweep_correct(7)),

@@ -427,6 +427,16 @@ def rank_one_counts(w: Element) -> tuple[int, int]:
     return len(w.support()), len(type(w).down_cover_images(w.images))
 
 
+def profile_refutation(profile: tuple[int, ...]) -> Optional[str]:
+    """The refutation trace of an asymmetric rank profile of [e, w], which
+    rules out every order-reversing bijection; None when it is symmetric.
+
+    >>> profile_refutation((1, 3, 5, 4, 1))
+    'rank profile (1, 3, 5, 4, 1) is asymmetric'
+    """
+    return None if profile == profile[::-1] else f"rank profile {profile} is asymmetric"
+
+
 def certify_self_dual(
     interval: BruhatInterval, decomp_hint: Optional[PolishedDecomposition] = None
 ) -> DualityCertificate:
@@ -451,9 +461,8 @@ def certify_self_dual(
             raise ValueError("decomposition hint does not induce an antiautomorphism")
         return DualityCertificate("constructive-map", None, interval, image)
 
-    profile = rank_profile(interval)
-    if profile != profile[::-1]:
-        trace = f"rank profile {profile} is asymmetric"
+    trace = profile_refutation(rank_profile(interval))
+    if trace is not None:
         return DualityCertificate("refuted", trace, interval, None)
 
     atom_up, coatom_down = interval.atom_coatom_degrees()

@@ -31,15 +31,12 @@ from .duality import (
     gamma_graphs_direct,
     gamma_lower,
     gamma_upper,
+    profile_refutation,
     rank_one_counts,
     transport_certificate,
 )
-from .intervals import (
-    build_interval,
-    degree_extremes,
-    rank_profile,
-)
-from .permutations import KLEIN_INVOLUTIONS, Permutation, parse_permutation
+from .intervals import build_interval, rank_profile
+from .permutations import KLEIN_INVOLUTIONS, Permutation, lower_rank_profile, parse_permutation
 from .polished import (
     NotPolishedError,
     PolishedDecomposition,
@@ -446,18 +443,23 @@ def verify_counterexamples() -> VerificationReport:
 def analyze(w: Permutation) -> dict:
     """Every predicate of interest for one permutation, as a JSON-ready dict.
     ``polished`` is SD3, the assembly of a polished decomposition tried on
-    every w as in the sweeps; the decomposition, when there is one, is the
-    hint that certifies self-duality, and the search certifies the rest."""
+    every w as in the sweeps.  The rank sizes come from w by the tableau
+    criterion, and the level graphs are built straight from w; the atoms'
+    up-degrees and the coatoms' down-degrees are their small sides' degrees.
+    [e, w] is built only when its rank profile is symmetric, that is, when
+    w is smooth: then the decomposition, when there is one, is the hint that
+    certifies self-duality, and the search certifies the rest.  Otherwise
+    the profile alone refutes it."""
     from .serialize import decomposition_to_dict
 
     lw = w.length()
-    interval = build_interval(w)
+    profile = lower_rank_profile(w.images)
     witness = selfdual_pattern_witness(w)
     out: dict = {
         "permutation": w.one_line(),
         "n": w.n,
         "length": lw,
-        "rank_profile": list(rank_profile(interval)),
+        "rank_profile": list(profile),
         "smooth": witness is None or witness.pattern.n == 5,
     }
     out["six_avoiding"] = witness is None
@@ -472,14 +474,16 @@ def analyze(w: Permutation) -> dict:
         "pattern": witness.pattern.one_line(),
         "indices": list(witness.indices),
     }
-    cert = certify_self_dual(interval, decomp)
     if lw >= 2:
-        lower, upper = gamma_lower(interval), gamma_upper(interval)
+        lower, upper = gamma_graphs_direct(w)
         out["gamma_isomorphic"] = bipartite_isomorphic(lower, upper) is not None
-        out["degree_extremes"] = list(degree_extremes(interval))
+        out["degree_extremes"] = [max(lower.small_degrees()), max(upper.small_degrees())]
     else:
         out["gamma_isomorphic"] = True
         out["degree_extremes"] = None
-    out["self_dual"] = cert.is_self_dual
-    out["self_dual_certificate"] = cert.kind
+    kind = "refuted"
+    if profile_refutation(profile) is None:
+        kind = certify_self_dual(build_interval(w), decomp).kind
+    out["self_dual"] = kind != "refuted"
+    out["self_dual_certificate"] = kind
     return out

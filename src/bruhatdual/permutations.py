@@ -1,6 +1,7 @@
 """Permutations of {1..n} in one-line notation, with the combinatorics needed
-for Bruhat-order work: inversions, descents, support, pattern containment
-and minimal inversions.
+for Bruhat-order work: inversions, descents, support, pattern containment,
+minimal inversions, and the tableau criterion with the rank sizes of [e, w]
+it gives.
 
 `CoxeterElement` is the frozen-dataclass base of `Permutation` and
 `signed.SignedPermutation`, with the group operations both share (the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Self
@@ -244,6 +246,53 @@ def tableau_leq(u: tuple[int, ...], w: tuple[int, ...], prefixes: Iterable[int])
     False
     """
     return all(all(map(operator.le, sorted(u[:k]), sorted(w[:k]))) for k in prefixes)
+
+
+def lower_rank_profile(im: tuple[int, ...]) -> tuple[int, ...]:
+    """The rank sizes |P_0|, ..., |P_l| of [e, w], read off w's one-line
+    tuple without building the interval.
+
+    By the tableau criterion, u <= w exactly when, for every k, the set of
+    u's first k values lies Gale-below w's: for every threshold j it holds
+    at most as many values >= j.  A DP over those prefix sets, as bitmasks
+    (bit v for value v), sums q^l(u) over u <= w.  Given a valid set of
+    size k - 1, adding a value v <= w(k) keeps it valid; adding v > w(k)
+    does unless some threshold j in (w(k), v] finds the set already holding
+    as many values >= j as w(1..k-1).  Placing v at position k adds the
+    inversions with the values in the set above v.  Each polynomial is one
+    int, coefficient i in field i; no coefficient exceeds n!, so a field
+    n!.bit_length() bits wide never carries.
+
+    >>> lower_rank_profile((3, 4, 1, 2))
+    (1, 3, 5, 4, 1)
+    >>> lower_rank_profile((1, 2))
+    (1,)
+    """
+    n = len(im)
+    width = math.factorial(n).bit_length()
+    above_w = [0] * (n + 2)  # above_w[j]: values >= j among w(1..k-1)
+    layer = {0: 1}  # prefix-set mask -> its polynomial
+    for wk in im:
+        grown: dict[int, int] = {}
+        for mask, poly in layer.items():
+            for v in range(1, n + 1):
+                above = (mask >> v).bit_count()  # values >= v in the set
+                if v > wk and above == above_w[v]:
+                    break  # threshold v is tight: no larger value fits either
+                bit = 1 << v
+                if not mask & bit:
+                    key = mask | bit
+                    grown[key] = grown.get(key, 0) + (poly << width * above)
+        layer = grown
+        for j in range(1, wk + 1):
+            above_w[j] += 1
+    (poly,) = layer.values()
+    field = (1 << width) - 1
+    sizes = []
+    while poly:
+        sizes.append(poly & field)
+        poly >>= width
+    return tuple(sizes)
 
 
 def inverse_indices(x: tuple[int, ...]) -> tuple[int, ...]:

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import inspect
 import itertools
+import json
 import os
 import pathlib
 import subprocess
@@ -19,10 +20,17 @@ from oracle_utils import (
     brute_interval,
     brute_length,
     brute_leq,
+    brute_rank_profile,
 )
 
 from bruhatdual import duality, harness
-from bruhatdual.intervals import BruhatInterval, subword_downset
+from bruhatdual.intervals import (
+    BruhatInterval,
+    build_interval,
+    degree_extremes,
+    rank_profile,
+    subword_downset,
+)
 from bruhatdual.permutations import (
     Permutation,
     inverse_images,
@@ -138,6 +146,53 @@ class TestAnalyze:
         assert report["six_avoiding"] is True
         assert (report["polished"], report["decomposition"]) == (False, None)
         assert report["self_dual_certificate"] == "explicit-bijection"
+
+    @pytest.mark.parametrize("im, first_asymmetric", [((4, 5, 3, 1, 2, 6), 2), ((5, 6, 4, 3, 1, 2), 3)])
+    def test_singular_refuted_without_interval(self, monkeypatch, im, first_asymmetric):
+        # w's rank-1 counts agree, so only the rank sizes from w refute it
+        profile = brute_rank_profile(im)
+        lw = len(profile) - 1
+        asymmetric = [k for k in range(lw + 1) if profile[k] != profile[lw - k]]
+        assert asymmetric[0] == first_asymmetric
+        monkeypatch.setattr(
+            harness, "build_interval", failing_on(build_interval, lambda w: True, RuntimeError("built"))
+        )
+        report = harness.analyze(Permutation(im))
+        assert report["smooth"] is False
+        assert report["rank_profile"] == list(profile)
+        assert (report["self_dual"], report["self_dual_certificate"]) == (False, "refuted")
+
+    @pytest.mark.parametrize(
+        "im, kind",
+        [((3, 4, 5, 2, 1), "refuted"), ((2, 1, 4, 3), "constructive-map"), ((2, 1), "constructive-map")],
+    )
+    def test_smooth_builds_interval(self, monkeypatch, im, kind):
+        # a symmetric profile refutes nothing: 34521 is refuted on [e, w] itself
+        built = []
+        monkeypatch.setattr(harness, "build_interval", lambda w: built.append(w) or build_interval(w))
+        assert harness.analyze(Permutation(im))["self_dual_certificate"] == kind
+        assert built == [Permutation(im)]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_interval_route(self, n):
+        # the fields analyze now reads off w, recomputed on [e, w] as built
+        for im in all_one_lines(n):
+            w = Permutation(im)
+            report = harness.analyze(w)
+            interval = build_interval(w)
+            expected = dict(report, rank_profile=list(rank_profile(interval)))
+            if w.length() >= 2:
+                lower, upper = duality.gamma_lower(interval), duality.gamma_upper(interval)
+                expected["gamma_isomorphic"] = duality.bipartite_isomorphic(lower, upper) is not None
+                expected["degree_extremes"] = list(degree_extremes(interval))
+            try:
+                hint = harness.assemble_decomposition(w)
+            except NotPolishedError:
+                hint = None
+            cert = duality.certify_self_dual(interval, hint)
+            expected["self_dual"] = cert.is_self_dual
+            expected["self_dual_certificate"] = cert.kind
+            assert json.dumps(report) == json.dumps(expected)
 
 
 class TestJobs:

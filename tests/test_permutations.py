@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,18 +8,21 @@ from hypothesis import strategies as st
 from conftest import longest_permutation
 from oracle_utils import (
     SIX_PATTERNS,
+    SMOOTH_COUNTS,
     all_one_lines,
     brute_contains,
     brute_length,
     brute_occurrences,
+    brute_rank_profile,
 )
 
-from bruhatdual.intervals import reduced_word
+from bruhatdual.intervals import build_interval, rank_profile, reduced_word
 from bruhatdual.permutations import (
     ParseError,
     Permutation,
     contains_pattern,
     identity,
+    lower_rank_profile,
     parse_permutation,
 )
 
@@ -175,3 +181,38 @@ class TestMinimalInversions:
                     if v.length() == lw - 1:
                         expected.add((i, j))
             assert set(w.minimal_inversions()) == expected
+
+
+class TestLowerRankProfile:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_bruteforce(self, n):
+        for im in all_one_lines(n):
+            assert lower_rank_profile(im) == brute_rank_profile(im)
+
+    def test_matches_interval_on_s7(self):
+        for im in all_one_lines(7):
+            assert lower_rank_profile(im) == rank_profile(build_interval(Permutation(im)))
+
+    def test_matches_interval_on_s9_sample(self):
+        rng = random.Random(9)
+        for _ in range(10):
+            im = list(range(1, 10))
+            rng.shuffle(im)
+            im = tuple(im)
+            assert lower_rank_profile(im) == rank_profile(build_interval(Permutation(im)))
+
+    def test_asymmetric_exactly_off_the_smooth_census(self):
+        # [e, w] is rank-symmetric exactly when w is smooth (Carrell)
+        asymmetric = 0
+        for im in all_one_lines(7):
+            profile = lower_rank_profile(im)
+            asymmetric += profile != profile[::-1]
+        assert asymmetric == math.factorial(7) - SMOOTH_COUNTS[7] == 3488
+
+    def test_mahonian_at_w0(self):
+        # [e, w0] is all of S_n, whose rank sizes, the largest any w gives,
+        # are the coefficients of prod_k (1 + q + ... + q^(k-1))
+        mahonian = [1]
+        for n in range(1, 10):
+            mahonian = [sum(mahonian[max(0, i - n + 1) : i + 1]) for i in range(len(mahonian) + n - 1)]
+            assert lower_rank_profile(tuple(range(n, 0, -1))) == tuple(mahonian)
