@@ -7,9 +7,9 @@ every interval, cover degrees of the smooth ones) runs through S_6 and
 through S_7; the type-B counterexample gate always runs.  Reports land in
 reports/ (or the directory given as the first argument).
 
-With --jobs 2 on a 2-vCPU host (Python 3.11) the whole run took about 2.3 s
-(one run): main_n7_full 0.77 s, main_n7_constructive 0.78 s, topheavy_n7
-0.5 s (5,912 elements), the rest under 0.2 s each.
+With --jobs 2 on a 2-vCPU host (Python 3.11) the whole run took 3.2-3.6 s
+(two runs): main_n7_full 1.3 s, main_n7_constructive 1.1-1.4 s, topheavy_n7
+0.4 s (5,912 elements), the rest 0.3 s or less each.
 
 Usage:  python3 scripts/run_full_verification.py [outdir] [--jobs N]
 """

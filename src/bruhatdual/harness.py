@@ -35,7 +35,7 @@ from .duality import (
     rank_one_counts,
     transport_certificate,
 )
-from .intervals import build_interval, rank_profile
+from .intervals import build_interval
 from .permutations import KLEIN_INVOLUTIONS, Permutation, lower_rank_profile, parse_permutation
 from .polished import (
     NotPolishedError,
@@ -203,11 +203,13 @@ def _main_checks(
 
 
 def _topheavy_checks(w: Permutation) -> tuple[tuple[str, ...], list[dict], None]:
-    """One element's top-heaviness checks: the rank inequality on every w,
-    then, when w is smooth of length >= 2, the cover-degree majorization and
-    the equality case of its maxima.  Returns the tally keys ("smooth" on
-    every smooth w, with "degree_equal" or "degree_strict", from the maxima,
-    when its length is >= 2), the violations, and no certificate.
+    """One element's top-heaviness checks, read off w without building
+    [e, w]: the rank inequality on every w, on the rank sizes the tableau
+    criterion gives; then, when w is smooth of length >= 2, the majorization
+    and the equality case of the maxima of the level graphs' small-side
+    degrees.  Returns the tally keys ("smooth" on every smooth w, with
+    "degree_equal" or "degree_strict", from the maxima, when its length is
+    >= 2), the violations, and no certificate.
 
     Majorization: sorted decreasingly, every prefix sum of the coatoms'
     down-degrees is at least the atoms' up-degrees' one, with the same total
@@ -218,12 +220,10 @@ def _topheavy_checks(w: Permutation) -> tuple[tuple[str, ...], list[dict], None]
 
     Raises _ElementFailure, naming the stage, on any exception."""
     violations = []
-    stage = "build_interval"
+    stage = "lower_rank_profile"
     try:
         lw = w.length()
-        interval = build_interval(w)
-        stage = "rank_profile"
-        profile = rank_profile(interval)
+        profile = lower_rank_profile(w.images)
         if any(profile[k] > profile[lw - k] for k in range(lw // 2 + 1)):
             violations.append(
                 {"n": w.n, "w": w.one_line(), "check": "rank-top-heavy", "profile": profile}
@@ -235,8 +235,8 @@ def _topheavy_checks(w: Permutation) -> tuple[tuple[str, ...], list[dict], None]
             return (), violations, None
         if lw < 2:
             return ("smooth",), violations, None
-        stage = "atom_coatom_degrees"
-        atom_up, coatom_down = (sorted(d, reverse=True) for d in interval.atom_coatom_degrees())
+        stage = "gamma_graphs_direct"
+        atom_up, coatom_down = (sorted(g.small_degrees())[::-1] for g in gamma_graphs_direct(w))
     except Exception as exc:
         raise _ElementFailure(stage, exc) from exc
     prefixes = zip(itertools.accumulate(atom_up), itertools.accumulate(coatom_down))
@@ -383,10 +383,10 @@ def verify_topheavy(n_max: int, jobs: int = 1) -> VerificationReport:
     verify_main; ``degree_equal`` plus ``degree_strict`` counts those of
     length >= 2.
 
-    The sweep shares verify_main's orbit chunks but checks every element on
-    its own, so its longest chunk, (n_max, 2), is about a third of the work:
-    with ``jobs`` >= 3 it runs slower than an even split by first value
-    would (see _sweep)."""
+    The sweep builds no interval.  It shares verify_main's orbit chunks but
+    checks every element on its own, so its longest chunk, (n_max, 2), is
+    about a third of the work: with ``jobs`` >= 3 it runs slower than an
+    even split by first value would (see _sweep)."""
     if not 2 <= n_max <= MAX_SWEEP_DEGREE:
         raise ValueError(f"n_max must be between 2 and {MAX_SWEEP_DEGREE}")
     keys = ("smooth", "degree_equal", "degree_strict")

@@ -3,11 +3,13 @@ import importlib
 import inspect
 import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,7 +25,7 @@ from oracle_utils import (
     brute_rank_profile,
 )
 
-from bruhatdual import duality, harness
+from bruhatdual import duality, harness, intervals
 from bruhatdual.intervals import (
     BruhatInterval,
     build_interval,
@@ -95,6 +97,20 @@ def is_2143(w):
     return w.one_line() == "2143"
 
 
+def with_degrees(real, one_line, atom_up, coatom_down):
+    """`real` (gamma_graphs_direct), except that at w = one_line it gives
+    stand-ins for the two level graphs whose small sides have these degrees."""
+
+    def graphs(w):
+        if w.one_line() != one_line:
+            return real(w)
+        return tuple(
+            SimpleNamespace(small_degrees=lambda d=d: tuple(d)) for d in (atom_up, coatom_down)
+        )
+
+    return graphs
+
+
 def klein_orbit(im):
     """{w, w^-1, w0 w w0, w0 w^-1 w0} on one-line tuples, from the definitions."""
     n = len(im)
@@ -123,14 +139,16 @@ class TestElementFailures:
 
     def test_topheavy_sweep_records_failure(self, monkeypatch):
         clean = harness.verify_topheavy(4)
-        real = harness.build_interval
+        real = harness.lower_rank_profile
         monkeypatch.setattr(
-            harness, "build_interval", failing_on(real, is_2143, RuntimeError("boom"))
+            harness,
+            "lower_rank_profile",
+            failing_on(real, lambda im: im == (2, 1, 4, 3), RuntimeError("boom")),
         )
         report = harness.verify_topheavy(4, jobs=1)
         assert report.checked == clean.checked
         assert report.violations == [
-            {"n": 4, "w": "2143", "stage": "build_interval", "error": "RuntimeError: boom"}
+            {"n": 4, "w": "2143", "stage": "lower_rank_profile", "error": "RuntimeError: boom"}
         ]
 
 
@@ -284,6 +302,22 @@ class TestTopheavy:
         assert tally == {"smooth": smooth, "degree_equal": six - 7, "degree_strict": smooth - six}
         assert (smooth, six - 7, smooth - six) == (1552, 1227, 318)
 
+    def test_census_gate_s8(self):
+        # every n's tallies split the census's smooth and six-avoiding counts,
+        # less the n elements of length < 2 (e and the n - 1 simple s_i)
+        report = harness.verify_topheavy(8, jobs=2)
+        assert report.checked == sum(math.factorial(n) for n in range(2, 9)) == 46232
+        assert report.violations == []
+        assert report.tallies == {
+            str(n): {
+                "smooth": SMOOTH_COUNTS[n],
+                "degree_equal": SIX_AVOIDING_COUNTS[n] - n,
+                "degree_strict": SMOOTH_COUNTS[n] - SIX_AVOIDING_COUNTS[n],
+            }
+            for n in range(2, 9)
+        }
+        assert report.tallies["8"] == {"smooth": 6652, "degree_equal": 4720, "degree_strict": 1924}
+
     def test_degree_majorization_brute_s6(self):
         # package-free: on every smooth w of length >= 2 in S_2..S_6 the
         # coatoms' down-degrees majorize the atoms' up-degrees, with equal
@@ -316,14 +350,10 @@ class TestTopheavy:
         # [6, 4, 4, 4]; degrees that break majorization but keep the maxima
         # strict give exactly one violation, with both sequences sorted
         clean = harness.verify_topheavy(5)
-        real = BruhatInterval.atom_coatom_degrees
-
-        def degrees(interval):
-            if interval.top.one_line() == "34521":
-                return list(atom_up), list(coatom_down)
-            return real(interval)
-
-        monkeypatch.setattr(BruhatInterval, "atom_coatom_degrees", degrees)
+        real = harness.gamma_graphs_direct
+        monkeypatch.setattr(
+            harness, "gamma_graphs_direct", with_degrees(real, "34521", atom_up, coatom_down)
+        )
         report = harness.verify_topheavy(5)
         assert report.violations == [
             {"n": 5, "w": "34521", "check": "degree-majorization",
@@ -332,17 +362,67 @@ class TestTopheavy:
         assert report.tallies == clean.tallies  # the maxima stay strict
 
     def test_degree_failure_names_its_call(self, monkeypatch):
-        real = BruhatInterval.atom_coatom_degrees
-
-        def degrees(interval):
-            if interval.top.one_line() == "2143":
-                raise KeyError("boom")
-            return real(interval)
-
-        monkeypatch.setattr(BruhatInterval, "atom_coatom_degrees", degrees)
+        real = harness.gamma_graphs_direct
+        monkeypatch.setattr(
+            harness, "gamma_graphs_direct", failing_on(real, is_2143, KeyError("boom"))
+        )
         assert harness.verify_topheavy(4).violations == [
-            {"n": 4, "w": "2143", "stage": "atom_coatom_degrees", "error": "KeyError: 'boom'"}
+            {"n": 4, "w": "2143", "stage": "gamma_graphs_direct", "error": "KeyError: 'boom'"}
         ]
+
+    def test_forced_equal_maxima_failure(self, monkeypatch):
+        # equal sequences still majorize, but equal maxima on 34521, which is
+        # not six-avoiding, break the equality case: exactly one violation,
+        # and one n = 5 element moves from degree_strict to degree_equal
+        clean = harness.verify_topheavy(5)
+        real = harness.gamma_graphs_direct
+        monkeypatch.setattr(
+            harness, "gamma_graphs_direct", with_degrees(real, "34521", [5, 5, 4, 4], [5, 5, 4, 4])
+        )
+        report = harness.verify_topheavy(5)
+        assert report.violations == [
+            {"n": 5, "w": "34521", "check": "degree-equality-vs-patterns",
+             "extremes": [5, 5], "six_avoiding": False}
+        ]
+        tallies = clean.tallies
+        five = tallies["5"]
+        tallies["5"] = dict(five, degree_equal=five["degree_equal"] + 1,
+                            degree_strict=five["degree_strict"] - 1)
+        assert report.tallies == tallies
+
+    def test_forced_rank_failure(self, monkeypatch):
+        # a bottom-heavy profile for 3412 (its own is (1, 3, 5, 4, 1)) gives
+        # exactly one violation, with that profile, and moves no tally
+        clean = harness.verify_topheavy(4)
+        real = harness.lower_rank_profile
+
+        def profile(im):
+            return (1, 4, 5, 3, 1) if im == (3, 4, 1, 2) else real(im)
+
+        monkeypatch.setattr(harness, "lower_rank_profile", profile)
+        report = harness.verify_topheavy(4)
+        assert report.violations == [
+            {"n": 4, "w": "3412", "check": "rank-top-heavy", "profile": (1, 4, 5, 3, 1)}
+        ]
+        assert report.tallies == clean.tallies
+
+    def test_builds_no_interval(self, monkeypatch):
+        # the checks read [e, w] off w: with every interval-route call made to
+        # raise, the sweep still gives the clean report
+        clean = harness.verify_topheavy(6).to_dict()
+
+        def forbidden(*args):
+            raise AssertionError("interval route called")
+
+        monkeypatch.setattr(harness, "build_interval", forbidden)
+        monkeypatch.setattr(intervals, "build_interval", forbidden)
+        monkeypatch.setattr(intervals, "rank_profile", forbidden)
+        monkeypatch.setattr(BruhatInterval, "atom_coatom_degrees", forbidden)
+        assert not hasattr(harness, "rank_profile")
+        report = harness.verify_topheavy(6).to_dict()
+        clean.pop("wall_time"), report.pop("wall_time")
+        assert report == clean
+        assert report["checked"] == 872 and report["violations"] == []
 
 
 class TestGammaGraphsDirect:
