@@ -6,7 +6,7 @@ and the cover graph under it: one part per run, printed as one JSON line.
   random.Random(SEED) and kept by the package-free brute-force pattern
   check of scripts/census_bruteforce.py; times build_interval and
   certify_self_dual with the assembled decomposition as hint, in one fresh
-  interpreter;
+  interpreter, and gives the hinted time per interval node;
 - s8-closure: build_interval of S_8's w0 from an empty cover graph, in one
   fresh interpreter: the cover kernel run on every node of S_8 once;
 - s8-profile: permutations.lower_rank_profile on every element of S_8, in
@@ -75,11 +75,13 @@ def s9_sample() -> dict:
     built = time.perf_counter()
     certs = [certify_self_dual(iv, d) for iv, d in zip(intervals, decomps)]
     done = time.perf_counter()
+    nodes = sum(iv.size for iv in intervals)
     return {
         "elements": len(ws),
         "build_interval_s": round(built - start, 4),
         "hinted_s": round(done - built, 4),
-        "mean_size": round(sum(iv.size for iv in intervals) / len(ws), 1),
+        "hinted_us_per_node": round(1e6 * (done - built) / nodes, 2),
+        "mean_size": round(nodes / len(ws), 1),
         "all_constructive": all(c.kind == "constructive-map" for c in certs),
     }
 

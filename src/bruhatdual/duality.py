@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .intervals import BruhatInterval, bruhat_leq, rank_profile
 from .permutations import (
@@ -237,17 +237,17 @@ class DualityMap:
     [lo, hi) of positions: q is x with that slice sorted, fixed by x's
     entries outside the window, and u_k is fixed by the window's argsort.
     With u = q' p' across J', g_k(u) is the product of two halves,
-    w_0(J) q' w_0(J and J') and p' w_0(J').  map_{k-1}(q) is memoized on x's
+    w_0(J) q' w_0(J and J') and p' w_0(J').  Each block compiles to one
+    function, map_k, calling map_{k-1}.  It memoizes map_{k-1}(q) on x's
     entries outside the window, g_k on the argsort, and each half on what
-    fixes it, in dicts this instance owns and fills from the decomposition
-    alone; a write stores the one value its key has, so threads sharing an
-    instance need no lock.
+    fixes it, in dicts it owns and fills from the decomposition alone; a
+    write stores the one value its key has, so threads sharing an instance
+    need no lock.
 
     ``interval_ids`` maps every one-line tuple of an interval straight to
-    ids in one pass, with the top level's split, memo reads and composition
-    inline per node.  Calling the map on one tuple runs the same levels
-    through the same factor function.  It makes no Bruhat comparison:
-    duality_map checks one image, certify_self_dual a whole interval's by id.
+    ids in one pass through the top block's function, the one that calling
+    the map on one tuple runs.  It makes no Bruhat comparison: duality_map
+    checks one image, certify_self_dual a whole interval's by id.
     """
 
     def __init__(self, w: Element, decomp: PolishedDecomposition):
@@ -255,97 +255,81 @@ class DualityMap:
             raise ValueError(f"the compiled duality map is type A only, got {w!r}")
         n = w.n
         self.w = w
-        self._identity = tuple(range(1, n + 1))
-        self._levels = [self._level(n, b) for b in decomp.blocks]
+        identity = tuple(range(1, n + 1))
+
+        def map_0(x: tuple[int, ...]) -> tuple[int, ...]:
+            if x != identity:
+                raise ValueError(
+                    f"decomposition does not account for {Permutation(x)!r}: invalid for {w!r}"
+                )
+            return x
+
+        self._map = map_0
+        for block in decomp.blocks:
+            self._map = self._level(n, block, self._map)
 
     @staticmethod
-    def _level(n: int, block: PolishedBlock) -> tuple:
-        """One block's S window (lo, hi), the slot of each position (the
-        start of its J' window, or the position itself outside J'), the three
-        w_0 as 0-based index tuples, and the memos of g_k, of map_{k-1} and of
-        g_k's two halves.  ValueError unless S is one window of generators of
-        S_n, covered by J and J'."""
+    def _level(
+        n: int, block: PolishedBlock, below: Callable[[tuple[int, ...]], tuple[int, ...]]
+    ) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        """map_k for one block, given ``below`` = map_{k-1}.  It holds the
+        block's S window [lo, hi), the slot of each position (the start of
+        its J' window, or the position itself outside J'), the three w_0 as
+        0-based index tuples, and the memos of map_{k-1}, of g_k and of
+        g_k's two halves.  ValueError unless S is one window of generators
+        of S_n, covered by J and J'."""
         windows = young_windows(block.S)
         if len(windows) != 1 or block.J | block.Jp != block.S:
             raise ValueError(f"block support {sorted(block.S)} is not one window covered by J and J'")
         ((lo, hi),) = windows
         if lo < 0 or hi > n:
             raise ValueError(f"generator indices {sorted(block.S)} outside the group rank")
+        positions = range(lo, hi)
         slot = list(range(n))
         for a, b in young_windows(block.Jp):
             slot[a:b] = [a] * (b - a)
-        w0 = [young_reversal(n, J) for J in (block.J, block.J & block.Jp, block.Jp)]
-        return (lo, hi, slot, *w0, {}, {}, {}, {})
+        w0_j, w0_meet, w0_jp = (young_reversal(n, J) for J in (block.J, block.J & block.Jp, block.Jp))
+        heads: dict[tuple[int, ...], tuple[int, ...]] = {}
+        factors: dict[tuple[int, ...], tuple[int, ...]] = {}
+        lefts: dict[tuple[int, ...], tuple[int, ...]] = {}
+        rights: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+        def map_k(x: tuple[int, ...]) -> tuple[int, ...]:
+            rest = x[:lo] + x[hi:]
+            head = heads.get(rest)
+            if head is None:
+                head = heads[rest] = below(x[:lo] + tuple(sorted(x[lo:hi])) + x[hi:])
+            # g_k(u) as a 0-based index tuple, for the u in W_S fixed by key,
+            # the window's positions in increasing order of value.  The slots
+            # of key's positions say which J' window holds each value, which
+            # fixes q', and key stably sorted by slot is p'^{-1}.
+            key = tuple(sorted(positions, key=x.__getitem__))
+            g = factors.get(key)
+            if g is None:
+                value_slots = tuple(map(slot.__getitem__, key))
+                left = lefts.get(value_slots)
+                if left is None:
+                    ranks = sorted(range(hi - lo), key=value_slots.__getitem__)
+                    quotient = (*range(lo), *[lo + r for r in ranks], *range(hi, n))
+                    left = lefts[value_slots] = tuple([w0_j[quotient[i]] for i in w0_meet])
+                p_inverse = tuple(sorted(key, key=slot.__getitem__))
+                right = rights.get(p_inverse)
+                if right is None:
+                    p = inverse_indices((*range(lo), *p_inverse, *range(hi, n)))
+                    right = rights[p_inverse] = tuple(map(p.__getitem__, w0_jp))
+                g = factors[key] = tuple(map(left.__getitem__, right))
+            return tuple(map(head.__getitem__, g))
+
+        return map_k
 
     def __call__(self, images: tuple[int, ...]) -> tuple[int, ...]:
-        return self._image(len(self._levels), images)
+        return self._map(images)
 
     def interval_ids(self, interval: BruhatInterval) -> list[int]:
         """The ids in ``interval`` of the images of its elements, in id order,
         -1 for an image outside it, in one pass over the graph's one-line
-        tuples."""
-        xs = map(interval.graph.images.__getitem__, interval.gids)
-        return interval.ids_of(self._top_images(xs) if self._levels else map(self, xs))
-
-    def _top_images(self, xs: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
-        """The images of xs, one at a time, so no list of a whole interval's
-        images is held.  The top level's split, memo reads and composition
-        run inline per tuple; the levels below and the factor misses are the
-        per-tuple map's."""
-        k = len(self._levels)
-        lo, hi, _, _, _, _, factors, below, _, _ = self._levels[-1]
-        positions = range(lo, hi)
-        for x in xs:
-            rest = x[:lo] + x[hi:]
-            head = below.get(rest)
-            if head is None:
-                head = below[rest] = self._image(k - 1, x[:lo] + tuple(sorted(x[lo:hi])) + x[hi:])
-            key = tuple(sorted(positions, key=x.__getitem__))
-            g = factors.get(key)
-            if g is None:
-                g = self._factor(k, key)
-            yield tuple(map(head.__getitem__, g))
-
-    def _image(self, k: int, x: tuple[int, ...]) -> tuple[int, ...]:
-        """map_k(x), the image of x under the first k blocks' maps."""
-        if not k:
-            if x != self._identity:
-                raise ValueError(
-                    f"decomposition does not account for {Permutation(x)!r}: invalid for {self.w!r}"
-                )
-            return x
-        lo, hi, _, _, _, _, factors, below, _, _ = self._levels[k - 1]
-        rest = x[:lo] + x[hi:]
-        head = below.get(rest)
-        if head is None:
-            head = below[rest] = self._image(k - 1, x[:lo] + tuple(sorted(x[lo:hi])) + x[hi:])
-        key = tuple(sorted(range(lo, hi), key=x.__getitem__))
-        g = factors.get(key)
-        if g is None:
-            g = self._factor(k, key)
-        return tuple(map(head.__getitem__, g))
-
-    def _factor(self, k: int, key: tuple[int, ...]) -> tuple[int, ...]:
-        """g_k(u) as a 0-based index tuple, for the u in W_S fixed by ``key``,
-        the window's positions in increasing order of value, stored in the
-        level's memo.  The slots of key's positions say which J' window holds
-        each value, which fixes q', and key stably sorted by slot is p'^{-1}.
-        Each half comes from its memo or is built there."""
-        lo, hi, slot, w0_j, w0_meet, w0_jp, factors, _, lefts, rights = self._levels[k - 1]
-        n = len(w0_j)
-        value_slots = tuple(map(slot.__getitem__, key))
-        left = lefts.get(value_slots)
-        if left is None:
-            ranks = sorted(range(hi - lo), key=value_slots.__getitem__)
-            quotient = (*range(lo), *[lo + r for r in ranks], *range(hi, n))
-            left = lefts[value_slots] = tuple([w0_j[quotient[i]] for i in w0_meet])
-        p_inverse = tuple(sorted(key, key=slot.__getitem__))
-        right = rights.get(p_inverse)
-        if right is None:
-            p = inverse_indices((*range(lo), *p_inverse, *range(hi, n)))
-            right = rights[p_inverse] = tuple(map(p.__getitem__, w0_jp))
-        g = factors[key] = tuple(map(left.__getitem__, right))
-        return g
+        tuples, so no list of a whole interval's images is held."""
+        return interval.ids_of(map(self._map, map(interval.graph.images.__getitem__, interval.gids)))
 
 
 def duality_map(w: Element, decomp: PolishedDecomposition, u: Element) -> Element:

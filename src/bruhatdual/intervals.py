@@ -9,8 +9,9 @@ times_simple_left(), left_descents() and down_cover_images(images), the
 tuples a raw one-line tuple covers; each class supplies one_line(),
 simple_indices(), times_simple_right(), length(), right_descents(),
 support() and its cover kernel, a static down_cover_ids(images, ids, out)
-that finds the tuples ``images`` covers and interns each as it is found,
-the one place its class's cover rule is written.
+that finds the tuples ``images`` covers and interns each into ``ids`` and
+``out`` as it is found, the one place its class's cover rule is written.
+down_cover_images runs that kernel on a fresh dict.
 
 build_interval is the only constructor of BruhatInterval.  It reads covers
 from one cover graph per element class, kept for the life of the process and

@@ -8,7 +8,8 @@ it gives.
 `intervals` docstring lists them).  `Permutation` supplies validation,
 one_line, simple_indices, times_simple_right, length, right_descents,
 support, its cover kernel down_cover_ids, times_transposition_right and
-minimal_inversions.
+minimal_inversions.  The kernel always interns the covers it finds into a
+dict; the base's down_cover_images runs it on a fresh one.
 
 Conventions:
 - One-line notation is 1-based: ``w.images[i-1] == w(i)``.
@@ -88,13 +89,14 @@ class CoxeterElement:
     @classmethod
     def down_cover_images(cls, im: tuple[int, ...]) -> list[tuple[int, ...]]:
         """One-line tuples of the elements that ``im`` covers, in the order of
-        the class's cover kernel ``down_cover_ids``, listed without interning.
+        the class's cover kernel ``down_cover_ids``, which interns them into
+        a fresh dict.
 
         >>> Permutation.down_cover_images((3, 1, 2))
         [(1, 3, 2), (2, 1, 3)]
         """
         images: list[tuple[int, ...]] = []
-        cls.down_cover_ids(im, None, images)
+        cls.down_cover_ids(im, {}, images)
         return images
 
 
@@ -179,15 +181,14 @@ class Permutation(CoxeterElement):
 
     @staticmethod
     def down_cover_ids(
-        im: tuple[int, ...], ids: Optional[dict[tuple[int, ...], int]], images: list[tuple[int, ...]]
+        im: tuple[int, ...], ids: dict[tuple[int, ...], int], images: list[tuple[int, ...]]
     ) -> tuple[int, ...]:
         """The cover kernel of S_n: the ids of the permutations that ``im``
         covers, in minimal-inversion order.  A cover swaps positions i < j
         whenever w(j) < w(i) and no value between them sits at a position
         between them.  Each cover is interned as it is found: looked up in
         ``ids`` once, and on a miss given the id len(images) and appended to
-        ``images``.  With ``ids`` None every cover is appended and the result
-        is empty.  Works on raw tuples, so nothing here is validated.
+        ``images``.  Works on raw tuples, so nothing here is validated.
 
         >>> images = [(3, 1, 2), (2, 1, 3)]
         >>> Permutation.down_cover_ids(images[0], {(3, 1, 2): 0, (2, 1, 3): 1}, images)
@@ -208,14 +209,11 @@ class Permutation(CoxeterElement):
                     swapped[j] = wi
                     y = tuple(swapped)
                     swapped[j] = wj
-                    if ids is None:
+                    g = ids.get(y)
+                    if g is None:
+                        g = ids[y] = len(images)
                         images.append(y)
-                    else:
-                        g = ids.get(y)
-                        if g is None:
-                            g = ids[y] = len(images)
-                            images.append(y)
-                        found.append(g)
+                    found.append(g)
                     if wj == wi - 1:  # no value left between wj and wi
                         break
             swapped[i] = wi

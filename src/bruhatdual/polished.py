@@ -60,19 +60,8 @@ class NotPolishedError(ValueError):
     """Structural failure inside the reduction/assembly pipeline.  On inputs
     containing one of the six patterns this is the expected way for the
     algorithm to stop; after a pattern precheck it would indicate a bug.
-
-    The message may be a format string with one-line tuples to fill it,
-    each written as a permutation: most failures are caught and dropped, so
-    the text is formatted only when read.
+    Its text names the one-line tuples involved as permutations.
     """
-
-    def __init__(self, message: str, *perms: tuple[int, ...]):
-        super().__init__(message)
-        self.perms = perms
-
-    def __str__(self) -> str:
-        message = self.args[0]
-        return message.format(*map(_text, self.perms)) if self.perms else message
 
 
 def avoids_smooth_patterns(w: Permutation) -> bool:
@@ -82,7 +71,7 @@ def avoids_smooth_patterns(w: Permutation) -> bool:
 
 def avoids_selfdual_patterns(w: Permutation) -> bool:
     """True when w avoids all six patterns characterizing self-dual [e, w]."""
-    return all(contains_pattern(w, p) is None for p in SELFDUAL_PATTERNS)
+    return selfdual_pattern_witness(w) is None
 
 
 def selfdual_pattern_witness(w: Permutation) -> Optional[PatternOccurrence]:
@@ -123,11 +112,11 @@ def _classify(x: tuple[int, ...]) -> tuple[str, int, tuple[int, ...]]:
     t = len(chain) - 1
     vals = [v for v in head if v <= v1]
     if vals != sorted(vals, reverse=True):
-        raise NotPolishedError("staircase of {} not decreasing: contains 4231", x)
+        raise NotPolishedError(f"staircase of {_text(x)} not decreasing: contains 4231")
     R = [a for a, v in enumerate(head, 1) if v > v1]
     L = any(1 < v < v1 for v in x[pos1:])
     if R and L:
-        raise NotPolishedError("{} has both side regions nonempty: contains 3412", x)
+        raise NotPolishedError(f"{_text(x)} has both side regions nonempty: contains 3412")
     if not R and not L:
         return "n", t, chain
     if R:
@@ -135,7 +124,7 @@ def _classify(x: tuple[int, ...]) -> tuple[str, int, tuple[int, ...]]:
             return "r0", t, chain
         if any(a < chain[t - 2] for a in R):
             raise NotPolishedError(
-                "region below the staircase head of {} nonempty: contains 45321", x
+                f"region below the staircase head of {_text(x)} nonempty: contains 45321"
             )
         r1 = any(chain[t - 2] < a < chain[t - 1] for a in R)
         return ("r1" if r1 else "r0"), t, chain
@@ -178,7 +167,7 @@ def _step(x: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[str, int, tup
         out = [w0[v - 1] + 1 for v in x]
         if tag == "n":
             if out != [x[j] for j in w0]:
-                raise NotPolishedError("type-n step of {} fails to commute: bad input", x)
+                raise NotPolishedError(f"type-n step of {_text(x)} fails to commute: bad input")
             support_floor = b + 2
         elif tag == "r0":
             support_floor = b + 1
@@ -198,9 +187,8 @@ def _step(x: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[str, int, tup
     fixed = min(support_floor - 1, n)
     if out[:fixed] != list(range(1, fixed + 1)):
         raise NotPolishedError(
-            "step output {} escapes its window: {} violates the pattern precondition",
-            tuple(out),
-            x,
+            f"step output {_text(tuple(out))} escapes its window: "
+            f"{_text(x)} violates the pattern precondition"
         )
     return tuple(out), m, local
 

@@ -6,7 +6,8 @@ data needs: in both types the diagram is the path 1 - 2 - ... - rank.
 `SignedPermutation` builds on the shared base `permutations.CoxeterElement`,
 which ``Element`` names, and supplies validation, one_line, simple_indices,
 times_simple_right, length, right_descents, support and its cover kernel
-down_cover_ids.
+down_cover_ids, which interns each cover as Permutation's does; the base's
+down_cover_images runs it on a fresh dict.
 
 Generator conventions match the relations (s_1 s_2)^3 = e, (s_2 s_3)^4 = e:
 s_i for i < n is the adjacent transposition of positions (i, i+1) and s_n is
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .permutations import CoxeterElement, identity as perm_identity
 
@@ -72,27 +73,23 @@ class SignedPermutation(CoxeterElement):
 
     @staticmethod
     def down_cover_ids(
-        im: tuple[int, ...], ids: Optional[dict[tuple[int, ...], int]], images: list[tuple[int, ...]]
+        im: tuple[int, ...], ids: dict[tuple[int, ...], int], images: list[tuple[int, ...]]
     ) -> tuple[int, ...]:
         """The cover kernel of B_n: the ids of the products ``im * t`` over the
         reflections t of B_n that drop the length by one, in reflection
         order, each interned as it is found, as Permutation.down_cover_ids
-        interns.  With ``ids`` None every cover is appended to ``images`` and
-        the result is empty.  Works on raw tuples, so nothing is validated."""
+        interns.  Works on raw tuples, so nothing is validated."""
         lw = _signed_length(im)
         found = []
         for t in reflections_b(len(im)):
             y = tuple(im[a - 1] if a > 0 else -im[-a - 1] for a in t.images)
             if _signed_length(y) != lw - 1:
                 continue
-            if ids is None:
+            g = ids.get(y)
+            if g is None:
+                g = ids[y] = len(images)
                 images.append(y)
-            else:
-                g = ids.get(y)
-                if g is None:
-                    g = ids[y] = len(images)
-                    images.append(y)
-                found.append(g)
+            found.append(g)
         return tuple(found)
 
 

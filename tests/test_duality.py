@@ -910,6 +910,15 @@ class TestRankOneCounts:
             atoms, coatoms = rank_one_counts(Permutation(im))
             assert (atoms != coatoms) == (len(profile) > 1 and profile[1] != profile[-2])
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_matches_built_profile_in_type_b(self, rank):
+        # the atoms are supp(w) and the coatoms w's covers in any Coxeter
+        # group, so the counts read off w hold in B_n as well
+        for w in group_elements(CoxeterPresentation("B", rank)):
+            profile = rank_profile(build_interval(w))
+            expected = (0, 0) if w.is_identity() else (profile[1], profile[-2])
+            assert rank_one_counts(w) == expected, w
+
 
 def reverses_order(interval, image):
     """The id map is a bijection taking each cover y < x to a cover image[x] < image[y]."""

@@ -314,6 +314,20 @@ class TestCoverGraph:
             assert {x.images: i for x, i in index.items()} == {y: i for i, y in enumerate(expected)}
             assert (rank, down) == (expected_rank, expected_down)
 
+    def test_down_cover_images_follow_graph_order(self):
+        # minimal_inversions and gamma_graphs_direct read the kernel's cover
+        # order through down_cover_images, so it must list the covers in the
+        # order the closed graph stores them, not only the same set
+        groups = [[Permutation(im) for im in all_one_lines(n)] for n in range(1, 7)]
+        groups.append(list(group_elements(CoxeterPresentation("B", 3))))
+        for ws in groups:
+            top = max(ws, key=lambda w: w.length())
+            build_interval(top)
+            graph = intervals._COVER_GRAPHS[type(top)]
+            for w in ws:
+                covers = graph.covers[graph.ids[w.images]]
+                assert type(w).down_cover_images(w.images) == [graph.images[g] for g in covers], w
+
     def test_returned_lists_are_fresh(self):
         w = parse_permutation("34521")
         first = build_interval(w)
