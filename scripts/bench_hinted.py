@@ -12,6 +12,10 @@ and the cover graph under it: one part per run, printed as one JSON line.
 - s8-profile: permutations.lower_rank_profile on every element of S_8, in
   one fresh interpreter, then the profiles of 200 of them, drawn with
   random.Random(PROFILE_SEED), against rank_profile(build_interval(w));
+- s8-smooth: the smooth elements of S_8 that contain one of the six
+  patterns, kept by the brute-force pattern check; runs harness.analyze on
+  each, in one fresh interpreter, counting its harness.build_interval
+  calls, and gives the time;
 - main-n7, main-n8: verify_main(n, sd4_mode="constructive-only", jobs=2),
   whose six-avoiders all take the hinted path;
 - s9-uniform: 2,000 uniform elements of S_9, drawn with random.Random(5);
@@ -25,7 +29,9 @@ The script exits 1 when a part's result is wrong: an s9-sample certificate
 that is not constructive; an s8-closure graph that did not start empty or
 does not hold the 40,320 elements of S_8 and their 341,136 covers; an
 s8-profile run whose asymmetric profiles are not exactly the 33,668
-singular elements of S_8, or whose sample differs from the interval; a main
+singular elements of S_8, or whose sample differs from the interval; an
+s8-smooth run that does not find the 1,924 smooth non-six-avoiders of S_8,
+builds an interval or reports one of them other than refuted; a main
 sweep with violations, or whose `checked` is not the sum of k! for
 k = 1..n; an s9-uniform row whose SD1-SD3, and SD4 where it is set,
 disagree.
@@ -45,7 +51,7 @@ import sys
 import time
 from collections import Counter
 
-from census_bruteforce import SIX_PATTERNS, contains
+from census_bruteforce import EXTRA_PATTERNS, SIX_PATTERNS, SMOOTH_PATTERNS, avoids_all, contains
 
 SEED = 9
 SAMPLE = 40
@@ -129,6 +135,32 @@ def s8_profile() -> dict:
             profiles[i] != rank_profile(build_interval(Permutation(ws[i]))) for i in sample
         ),
     }
+
+
+S8_SMOOTH_WITH_PATTERN = 1924  # 6,652 smooth less 4,728 six-avoiding elements of S_8
+
+
+def s8_smooth() -> dict:
+    from bruhatdual import harness
+    from bruhatdual.permutations import Permutation
+
+    ws = [
+        w for w in itertools.permutations(range(1, 9))
+        if avoids_all(w, SMOOTH_PATTERNS) and not avoids_all(w, EXTRA_PATTERNS)
+    ]
+    builds = 0
+    real = harness.build_interval
+
+    def counted(w):
+        nonlocal builds
+        builds += 1
+        return real(w)
+
+    harness.build_interval = counted
+    start = time.perf_counter()
+    kinds = Counter(harness.analyze(Permutation(w))["self_dual_certificate"] for w in ws)
+    elapsed = time.perf_counter() - start
+    return {"elements": len(ws), "analyze_s": round(elapsed, 4), "builds": builds, "kinds": kinds}
 
 
 def main_sweep(n: int) -> dict:
@@ -218,6 +250,12 @@ PARTS = {
     "s8-profile": (
         s8_profile,
         lambda r: r["asymmetric"] == S8_SINGULAR and r["sample_mismatches"] == 0,
+    ),
+    "s8-smooth": (
+        s8_smooth,
+        lambda r: r["elements"] == S8_SMOOTH_WITH_PATTERN
+        and r["builds"] == 0
+        and set(r["kinds"]) == {"refuted"},
     ),
     "s9-uniform": (s9_uniform, lambda r: r["disagreeing"] == 0),
     "main-n7": (lambda: main_sweep(7), sweep_correct(7)),

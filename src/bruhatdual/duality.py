@@ -124,9 +124,11 @@ def gamma_graphs_direct(w: Permutation) -> tuple[LevelGraph, LevelGraph]:
     (|i - j| >= 2) gives one product, below w by the subword property.  An
     adjacent pair gives s_i s_{i+1} and s_{i+1} s_i, each kept by the
     tableau criterion on the two prefixes (lengths i and i + 1) where it can
-    differ from e.  Upper: iterated cover moves below w.  Each side is
-    sorted by one-line tuple; the graphs equal the interval route's vertex
-    for vertex and edge for edge (tested).
+    differ from e.  Upper: iterated cover moves below w, each corank-2
+    element interned once by the cover kernel across all the coatoms and
+    then ranked by one-line tuple.  Each side is sorted by one-line tuple;
+    the graphs equal the interval route's vertex for vertex and edge for
+    edge (tested).
     """
     im = w.images
     support = sorted(w.support())
@@ -155,11 +157,15 @@ def gamma_graphs_direct(w: Permutation) -> tuple[LevelGraph, LevelGraph]:
     )
 
     coatoms = sorted(Permutation.down_cover_images(im))
-    below = [Permutation.down_cover_images(c) for c in coatoms]
-    corank2 = sorted({d for ds in below for d in ds})
-    big_id = {d: bi for bi, d in enumerate(corank2)}
+    corank2: list[tuple[int, ...]] = []  # each interned once, across all the coatoms
+    ids: dict[tuple[int, ...], int] = {}
+    below = [Permutation.down_cover_ids(c, ids, corank2) for c in coatoms]
+    order = sorted(range(len(corank2)), key=corank2.__getitem__)
+    big_id = [0] * len(order)
+    for bi, d in enumerate(order):
+        big_id[d] = bi
     covers = [(si, big_id[d]) for si, ds in enumerate(below) for d in ds]
-    return lower, _assemble("upper", coatoms, corank2, covers)
+    return lower, _assemble("upper", coatoms, map(corank2.__getitem__, order), covers)
 
 
 def bipartite_isomorphic(
@@ -421,6 +427,22 @@ def profile_refutation(profile: tuple[int, ...]) -> Optional[str]:
     return None if profile == profile[::-1] else f"rank profile {profile} is asymmetric"
 
 
+# the trace when the degree/rank colors part, at the atoms or after refinement
+_COLORS_DIFFER = "degree/rank color multisets of the interval and its dual differ"
+
+
+def degree_refutation(atom_up: Iterable[int], coatom_down: Iterable[int]) -> Optional[str]:
+    """The refutation trace of [e, w] whose atoms' up-degrees and coatoms'
+    down-degrees form different multisets, which rules out every
+    order-reversing bijection: one takes each atom to a coatom whose
+    down-degree is the atom's up-degree.  None when the multisets agree.
+
+    >>> degree_refutation((5, 5, 4, 4), (6, 4, 4, 4))
+    'degree/rank color multisets of the interval and its dual differ'
+    """
+    return None if sorted(atom_up) == sorted(coatom_down) else _COLORS_DIFFER
+
+
 def certify_self_dual(
     interval: BruhatInterval, decomp_hint: Optional[PolishedDecomposition] = None
 ) -> DualityCertificate:
@@ -449,16 +471,16 @@ def certify_self_dual(
     if trace is not None:
         return DualityCertificate("refuted", trace, interval, None)
 
-    atom_up, coatom_down = interval.atom_coatom_degrees()
-    colors = None
-    if sorted(atom_up) == sorted(coatom_down):
+    trace = degree_refutation(*interval.atom_coatom_degrees())
+    if trace is None:
         hasse = _hasse_diagram(interval)
         colors, splitters, cells = _degree_start(interval, hasse)
         colors = _refine_to_stable(hasse, colors, splitters, cells)
         image = _search_antiautomorphism(interval, hasse, colors, cells)
         if image is not None:
             return DualityCertificate("explicit-bijection", None, interval, image)
-    return DualityCertificate("refuted", _refinement_summary(colors), interval, None)
+        trace = _refinement_summary(colors)
+    return DualityCertificate("refuted", trace, interval, None)
 
 
 def transport_certificate(
@@ -641,7 +663,7 @@ def _refinement_summary(colors: Optional[list[int]]) -> str:
     """Why the search refuted: the shape of the stable root refinement, or the
     root color multisets parting."""
     if colors is None:
-        return "degree/rank color multisets of the interval and its dual differ"
+        return _COLORS_DIFFER
     cells = Counter(Counter(colors[: len(colors) // 2]).values())
     shape = ", ".join(f"{count} cells of size {size}" for size, count in sorted(cells.items()))
     return f"stable refinement reached ({shape}) but every pairing fails cover reversal"

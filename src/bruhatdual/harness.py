@@ -28,6 +28,7 @@ from .duality import (
     DualityCertificate,
     bipartite_isomorphic,
     certify_self_dual,
+    degree_refutation,
     gamma_graphs_direct,
     gamma_lower,
     gamma_upper,
@@ -446,10 +447,12 @@ def analyze(w: Permutation) -> dict:
     every w as in the sweeps.  The rank sizes come from w by the tableau
     criterion, and the level graphs are built straight from w; the atoms'
     up-degrees and the coatoms' down-degrees are their small sides' degrees.
-    [e, w] is built only when its rank profile is symmetric, that is, when
-    w is smooth: then the decomposition, when there is one, is the hint that
-    certifies self-duality, and the search certifies the rest.  Otherwise
-    the profile alone refutes it."""
+    An asymmetric rank profile refutes self-duality, and so do different
+    multisets of those end degrees, without building [e, w].  [e, w] is
+    built only when both are symmetric, which on S_1..S_9 means exactly when
+    w avoids the six patterns: then the decomposition, when there is one, is
+    the hint that certifies self-duality, and the search certifies the
+    rest."""
     from .serialize import decomposition_to_dict
 
     lw = w.length()
@@ -474,15 +477,18 @@ def analyze(w: Permutation) -> dict:
         "pattern": witness.pattern.one_line(),
         "indices": list(witness.indices),
     }
+    trace = profile_refutation(profile)
     if lw >= 2:
         lower, upper = gamma_graphs_direct(w)
+        atom_up, coatom_down = lower.small_degrees(), upper.small_degrees()
         out["gamma_isomorphic"] = bipartite_isomorphic(lower, upper) is not None
-        out["degree_extremes"] = [max(lower.small_degrees()), max(upper.small_degrees())]
+        out["degree_extremes"] = [max(atom_up), max(coatom_down)]
+        trace = trace or degree_refutation(atom_up, coatom_down)
     else:
         out["gamma_isomorphic"] = True
         out["degree_extremes"] = None
     kind = "refuted"
-    if profile_refutation(profile) is None:
+    if trace is None:
         kind = certify_self_dual(build_interval(w), decomp).kind
     out["self_dual"] = kind != "refuted"
     out["self_dual_certificate"] = kind

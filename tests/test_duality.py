@@ -1,3 +1,4 @@
+import random
 import sys
 import threading
 from collections import Counter
@@ -272,11 +273,13 @@ class TestLevelGraphs:
         with pytest.raises(ValueError):
             gamma_lower(build_interval(parse_permutation("213")))
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     def test_direct_route_matches_interval_route(self, n):
-        # every w of length >= 2 (S_2 has none): the same vertices, sorted by
-        # one-line tuple on the direct route, and the same labeled edges
-        for im in all_one_lines(n):
+        # every w of length >= 2 (S_2 has none), and of S_7 and S_8 a seeded
+        # sample of 200: the same vertices, sorted by one-line tuple on the
+        # direct route, and the same labeled edges
+        ims = list(all_one_lines(n))
+        for im in ims if n <= 6 else random.Random(n).sample(ims, 200):
             w = Permutation(im)
             if w.length() < 2:
                 continue

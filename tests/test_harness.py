@@ -181,15 +181,35 @@ class TestAnalyze:
         assert (report["self_dual"], report["self_dual_certificate"]) == (False, "refuted")
 
     @pytest.mark.parametrize(
-        "im, kind",
-        [((3, 4, 5, 2, 1), "refuted"), ((2, 1, 4, 3), "constructive-map"), ((2, 1), "constructive-map")],
+        "im, kind, builds",
+        [((3, 4, 5, 2, 1), "refuted", 0), ((2, 1, 4, 3), "constructive-map", 1), ((2, 1), "constructive-map", 1)],
     )
-    def test_smooth_builds_interval(self, monkeypatch, im, kind):
-        # a symmetric profile refutes nothing: 34521 is refuted on [e, w] itself
+    def test_symmetric_degrees_build_interval(self, monkeypatch, im, kind, builds):
+        # 34521 is smooth, so its profile is symmetric, but its atoms'
+        # up-degrees and coatoms' down-degrees differ: it is refuted from w
         built = []
         monkeypatch.setattr(harness, "build_interval", lambda w: built.append(w) or build_interval(w))
         assert harness.analyze(Permutation(im))["self_dual_certificate"] == kind
-        assert built == [Permutation(im)]
+        assert built == [Permutation(im)] * builds
+
+    def test_smooth_with_pattern_refuted_without_interval(self, monkeypatch):
+        # the smooth w of S_7 that contain one of the six patterns, picked by
+        # the package-free pattern check: the end degrees refute each from w,
+        # and [e, w] itself refutes each at the same check
+        ws = [
+            im for im in all_one_lines(7)
+            if brute_avoids_all(im, SMOOTH_PATTERNS) and not brute_avoids_all(im)
+        ]
+        assert len(ws) == SMOOTH_COUNTS[7] - SIX_AVOIDING_COUNTS[7] == 318
+        monkeypatch.setattr(
+            harness, "build_interval", failing_on(build_interval, lambda w: True, RuntimeError("built"))
+        )
+        for im in ws:
+            report = harness.analyze(Permutation(im))
+            assert (report["self_dual"], report["self_dual_certificate"]) == (False, "refuted"), im
+            cert = duality.certify_self_dual(build_interval(Permutation(im)))
+            assert cert.kind == "refuted", im
+            assert cert.refinement_trace == "degree/rank color multisets of the interval and its dual differ"
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_interval_route(self, n):

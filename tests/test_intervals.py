@@ -391,7 +391,8 @@ class TestCoverGraph:
                 with pytest.raises(ValueError):
                     certify_self_dual(interval, hint)
             built.append(interval)
-        assert len(built) == 4
+        # analyze builds w0's interval only: it refutes 34521 from w
+        assert len(built) == 3
         assert all("elements" not in vars(interval) for interval in built)
         assert not hasattr(intervals._COVER_GRAPHS[Permutation], "elements")
 
