@@ -26,7 +26,9 @@ and the cover graph under it: one part per run, printed as one JSON line.
   per-element cost of an exhaustive constructive-only S_9 sweep.
 
 The script exits 1 when a part's result is wrong: an s9-sample certificate
-that is not constructive; an s8-closure graph that did not start empty or
+that is not constructive, or whose image is not a bijection of the
+interval's ids reversing every cover of its down lists, checked by a loop
+of the script's own; an s8-closure graph that did not start empty or
 does not hold the 40,320 elements of S_8 and their 341,136 covers; an
 s8-profile run whose asymmetric profiles are not exactly the 33,668
 singular elements of S_8, or whose sample differs from the interval; an
@@ -89,7 +91,18 @@ def s9_sample() -> dict:
         "hinted_us_per_node": round(1e6 * (done - built) / nodes, 2),
         "mean_size": round(nodes / len(ws), 1),
         "all_constructive": all(c.kind == "constructive-map" for c in certs),
+        "all_reverse_covers": all(reverses_every_cover(c.interval, c.image) for c in certs),
     }
+
+
+def reverses_every_cover(interval, image) -> bool:
+    """Whether ids ``image`` are a bijection of range(size) that turns every
+    cover y < x in ``interval.down`` into a cover image[x] < image[y]; a
+    check of its own on the sorted down lists, apart from the package's."""
+    if image is None or sorted(image) != list(range(interval.size)):
+        return False
+    below = [set(ys) for ys in interval.down]
+    return all(image[x] in below[image[y]] for x, ys in enumerate(interval.down) for y in ys)
 
 
 S8_ELEMENTS = 40320
@@ -242,7 +255,7 @@ def sweep_correct(n: int):
 
 # part -> (run, whether its result is correct)
 PARTS = {
-    "s9-sample": (s9_sample, lambda r: r["all_constructive"]),
+    "s9-sample": (s9_sample, lambda r: r["all_constructive"] and r["all_reverse_covers"]),
     "s8-closure": (
         s8_closure,
         lambda r: r["started_empty"] and (r["nodes"], r["covers"]) == (S8_ELEMENTS, S8_COVERS),

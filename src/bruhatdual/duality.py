@@ -2,10 +2,13 @@
 interval or, for a permutation, built straight from w, and their isomorphism,
 matched on the pair of small vertices each big one touches; the explicit
 duality map coming from a polished decomposition, and poset self-duality
-certification.  The hinted path and every found bijection are checked by
-id against the cover graph's own cover tuples.  The search looks for an
-isomorphism from [e, w] to its dual by refining one color array over both,
-which share one undirected Hasse diagram (McKay-Piperno 2014).  Refinement
+certification.  One verifier checks the hinted path's images, each looked
+up once in the cover graph's ids, every found bijection and every
+transported one: a pass over graph ids that checks membership in [e, w],
+bijectivity and cover reversal against the graph's own cover tuples.  The
+search looks for an isomorphism from [e, w] to its dual by refining one
+color array over both, which share one undirected Hasse diagram
+(McKay-Piperno 2014).  Refinement
 runs a worklist of splitter cells (Paige-Tarjan 1987) and revisits only the
 cells next to a split.  It starts from (rank, down-degree, up-degree)
 colors: the rank cells split once by every rank cell, which then count as
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .intervals import BruhatInterval, bruhat_leq, rank_profile
@@ -244,16 +248,23 @@ class DualityMap:
     entries outside the window, and u_k is fixed by the window's argsort.
     With u = q' p' across J', g_k(u) is the product of two halves,
     w_0(J) q' w_0(J and J') and p' w_0(J').  Each block compiles to one
-    function, map_k, calling map_{k-1}.  It memoizes map_{k-1}(q) on x's
-    entries outside the window, g_k on the argsort, and each half on what
-    fixes it, in dicts it owns and fills from the decomposition alone; a
-    write stores the one value its key has, so threads sharing an instance
-    need no lock.
+    function, map_k, calling map_{k-1}, with memos in dicts it owns and
+    fills from the decomposition alone, each key fixing its one value:
+    map_{k-1}(q) on x's entries outside the window, which fix q; g_k on the
+    raw window slice x[lo:hi], which fixes the argsort; g_k again on the
+    argsort, which fixes u_k; the left half on the J' window of each value,
+    which fixes q'; the right half on p'^{-1}.  A write stores the one value
+    its key has, so threads sharing an instance need no lock.  g_k and the
+    right halves are kept as ``operator.itemgetter``s, built once per memo
+    entry, so composing one onto a tuple runs in C; the argsort then runs
+    once per distinct window slice, not once per tuple.
 
-    ``interval_ids`` maps every one-line tuple of an interval straight to
-    ids in one pass through the top block's function, the one that calling
-    the map on one tuple runs.  It makes no Bruhat comparison: duality_map
-    checks one image, certify_self_dual a whole interval's by id.
+    ``graph_ids`` maps every one-line tuple of an interval straight to
+    cover-graph ids in one pass through the top block's function, the one
+    that calling the map on one tuple runs, and ``interval_ids`` turns
+    those into interval ids.  Neither makes a Bruhat comparison:
+    duality_map checks one image, certify_self_dual a whole interval's on
+    graph ids.
     """
 
     def __init__(self, w: Element, decomp: PolishedDecomposition):
@@ -281,9 +292,9 @@ class DualityMap:
         """map_k for one block, given ``below`` = map_{k-1}.  It holds the
         block's S window [lo, hi), the slot of each position (the start of
         its J' window, or the position itself outside J'), the three w_0 as
-        0-based index tuples, and the memos of map_{k-1}, of g_k and of
-        g_k's two halves.  ValueError unless S is one window of generators
-        of S_n, covered by J and J'."""
+        0-based index tuples, and the memos of map_{k-1}, of g_k by window
+        slice and by argsort, and of g_k's two halves.  ValueError unless S
+        is one window of generators of S_n, covered by J and J'."""
         windows = young_windows(block.S)
         if len(windows) != 1 or block.J | block.Jp != block.S:
             raise ValueError(f"block support {sorted(block.S)} is not one window covered by J and J'")
@@ -295,47 +306,62 @@ class DualityMap:
         for a, b in young_windows(block.Jp):
             slot[a:b] = [a] * (b - a)
         w0_j, w0_meet, w0_jp = (young_reversal(n, J) for J in (block.J, block.J & block.Jp, block.Jp))
+        meet, jp = itemgetter(*w0_meet), itemgetter(*w0_jp)
         heads: dict[tuple[int, ...], tuple[int, ...]] = {}
-        factors: dict[tuple[int, ...], tuple[int, ...]] = {}
+        slices: dict[tuple[int, ...], itemgetter] = {}
+        factors: dict[tuple[int, ...], itemgetter] = {}
         lefts: dict[tuple[int, ...], tuple[int, ...]] = {}
-        rights: dict[tuple[int, ...], tuple[int, ...]] = {}
+        rights: dict[tuple[int, ...], itemgetter] = {}
+
+        def factor(key: tuple[int, ...]) -> itemgetter:
+            # g_k(u) as a getter of 0-based indices, for the u in W_S fixed by
+            # key, the window's positions in increasing order of value.  The
+            # slots of key's positions say which J' window holds each value,
+            # which fixes q', and key stably sorted by slot is p'^{-1}.
+            g = factors.get(key)
+            if g is None:
+                value_slots = itemgetter(*key)(slot)
+                left = lefts.get(value_slots)
+                if left is None:
+                    ranks = sorted(range(hi - lo), key=value_slots.__getitem__)
+                    quotient = (*range(lo), *[lo + r for r in ranks], *range(hi, n))
+                    left = lefts[value_slots] = itemgetter(*meet(quotient))(w0_j)
+                p_inverse = tuple(sorted(key, key=slot.__getitem__))
+                right = rights.get(p_inverse)
+                if right is None:
+                    p = inverse_indices((*range(lo), *p_inverse, *range(hi, n)))
+                    right = rights[p_inverse] = itemgetter(*jp(p))
+                g = factors[key] = itemgetter(*right(left))
+            return g
 
         def map_k(x: tuple[int, ...]) -> tuple[int, ...]:
             rest = x[:lo] + x[hi:]
             head = heads.get(rest)
             if head is None:
                 head = heads[rest] = below(x[:lo] + tuple(sorted(x[lo:hi])) + x[hi:])
-            # g_k(u) as a 0-based index tuple, for the u in W_S fixed by key,
-            # the window's positions in increasing order of value.  The slots
-            # of key's positions say which J' window holds each value, which
-            # fixes q', and key stably sorted by slot is p'^{-1}.
-            key = tuple(sorted(positions, key=x.__getitem__))
-            g = factors.get(key)
+            window = x[lo:hi]
+            g = slices.get(window)
             if g is None:
-                value_slots = tuple(map(slot.__getitem__, key))
-                left = lefts.get(value_slots)
-                if left is None:
-                    ranks = sorted(range(hi - lo), key=value_slots.__getitem__)
-                    quotient = (*range(lo), *[lo + r for r in ranks], *range(hi, n))
-                    left = lefts[value_slots] = tuple([w0_j[quotient[i]] for i in w0_meet])
-                p_inverse = tuple(sorted(key, key=slot.__getitem__))
-                right = rights.get(p_inverse)
-                if right is None:
-                    p = inverse_indices((*range(lo), *p_inverse, *range(hi, n)))
-                    right = rights[p_inverse] = tuple(map(p.__getitem__, w0_jp))
-                g = factors[key] = tuple(map(left.__getitem__, right))
-            return tuple(map(head.__getitem__, g))
+                g = slices[window] = factor(tuple(sorted(positions, key=x.__getitem__)))
+            return g(head)
 
         return map_k
 
     def __call__(self, images: tuple[int, ...]) -> tuple[int, ...]:
         return self._map(images)
 
+    def graph_ids(self, interval: BruhatInterval) -> list[Optional[int]]:
+        """The cover-graph ids of the images of ``interval``'s elements, in
+        id order, None for an image the graph has not met, in one pass over
+        the graph's one-line tuples, so no list of a whole interval's images
+        is held."""
+        graph = interval.graph
+        return list(map(graph.ids.get, map(self._map, map(graph.images.__getitem__, interval.gids))))
+
     def interval_ids(self, interval: BruhatInterval) -> list[int]:
         """The ids in ``interval`` of the images of its elements, in id order,
-        -1 for an image outside it, in one pass over the graph's one-line
-        tuples, so no list of a whole interval's images is held."""
-        return interval.ids_of(map(self._map, map(interval.graph.images.__getitem__, interval.gids)))
+        -1 for an image outside it."""
+        return interval.positions(self.graph_ids(interval))
 
 
 def duality_map(w: Element, decomp: PolishedDecomposition, u: Element) -> Element:
@@ -384,14 +410,20 @@ class DualityCertificate:
         return {x: elements[y] for x, y in zip(elements, self.image)}
 
 
-def _reverses_covers(interval: BruhatInterval, image: list[int]) -> bool:
-    """Whether the id map x -> image[x] turns every cover y < x into a cover
-    image[x] < image[y].  A bijection that does so carries the cover relation
-    onto its reverse, so it is an order-reversing bijection of [e, w].  The
-    check runs on graph ids, against the cover graph's own cover tuples, so
-    it needs no ``down`` lists."""
-    gids, covers = interval.gids, interval.graph.covers
-    phi = dict(zip(gids, map(gids.__getitem__, image)))
+def _reverses_order(interval: BruhatInterval, targets: list[Optional[int]]) -> bool:
+    """Whether phi, sending graph id gids[x] to targets[x] for each
+    interval id x, is an order-reversing bijection of [e, w]: the targets
+    are the interval's own graph ids, each taken once (None, a tuple the
+    graph has not met, is not one), and every cover y < x becomes a cover
+    phi(x) < phi(y).  A bijection that turns every cover around carries the
+    cover relation onto its reverse, so it reverses the order.  The check
+    runs on graph ids, against the cover graph's own cover tuples, so it
+    needs no ``down`` lists and no interval ids.  It is the one check behind
+    every certificate: hinted, found by the search, or transported."""
+    covers = interval.graph.covers
+    phi = dict(zip(interval.gids, targets))
+    if phi.keys() != set(targets):
+        return False
     for g, pg in phi.items():
         for y in covers[g]:
             if pg not in covers[phi[y]]:
@@ -399,10 +431,11 @@ def _reverses_covers(interval: BruhatInterval, image: list[int]) -> bool:
     return True
 
 
-def _is_antiautomorphism(interval: BruhatInterval, image: list[int]) -> bool:
-    """Whether ids ``image``, -1 marking a point outside [e, w], form an
-    order-reversing bijection of [e, w]."""
-    return -1 not in image and len(set(image)) == interval.size and _reverses_covers(interval, image)
+def _reverses_covers(interval: BruhatInterval, image: list[int]) -> bool:
+    """``_reverses_order`` on interval ids: whether ids ``image``, -1
+    marking a point outside [e, w], form an order-reversing bijection."""
+    gids = interval.gids
+    return -1 not in image and _reverses_order(interval, list(map(gids.__getitem__, image)))
 
 
 def rank_one_counts(w: Element) -> tuple[int, int]:
@@ -462,10 +495,10 @@ def certify_self_dual(
     is exhausted.
     """
     if decomp_hint is not None:
-        image = DualityMap(interval.top, decomp_hint).interval_ids(interval)
-        if not _is_antiautomorphism(interval, image):
+        targets = DualityMap(interval.top, decomp_hint).graph_ids(interval)
+        if not _reverses_order(interval, targets):
             raise ValueError("decomposition hint does not induce an antiautomorphism")
-        return DualityCertificate("constructive-map", None, interval, image)
+        return DualityCertificate("constructive-map", None, interval, interval.positions(targets))
 
     trace = profile_refutation(rank_profile(interval))
     if trace is not None:
@@ -504,7 +537,7 @@ def transport_certificate(
     image = [-1] * interval.size
     for x, y in enumerate(moved):
         image[y] = moved[phi[x]]  # psi(g(u)) = g(phi(u))
-    if not _is_antiautomorphism(interval, image):
+    if not _reverses_covers(interval, image):
         raise ValueError(f"transported bijection does not reverse the covers of [e, {interval.top!r}]")
     return DualityCertificate("explicit-bijection", None, interval, image)
 

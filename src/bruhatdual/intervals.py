@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, pairwise, repeat
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .permutations import Permutation, tableau_leq
 from .signed import Element, _walk
@@ -159,7 +159,11 @@ class BruhatInterval:
 
     def ids_of(self, images: Iterable[tuple[int, ...]]) -> list[int]:
         """The ids of one-line tuples, -1 for a tuple outside [e, w]."""
-        return list(map(self._position.get, map(self.graph.ids.get, images), repeat(-1)))
+        return self.positions(map(self.graph.ids.get, images))
+
+    def positions(self, gids: Iterable[Optional[int]]) -> list[int]:
+        """The ids of graph ids, -1 for None or a graph id outside [e, w]."""
+        return list(map(self._position.get, gids, repeat(-1)))
 
     def contains(self, u: Element) -> bool:
         return type(u) is self.graph.cls and self.ids_of([u.images])[0] >= 0

@@ -90,6 +90,34 @@ def reference_dual(w, decomp, u):
     return out
 
 
+# S_7 and S_8 six-avoiders compared node by node with reference_dual, at
+# about 0.3 ms a node: of each decomposition shape, the first a seeded
+# shuffle meets with |[e, w]| in the size range; "full" is one block over
+# every position
+REFERENCE_SHAPES = ("full", 2, 3, 4, 5)
+REFERENCE_SIZES = {7: range(50, 1501), 8: range(150, 4501)}
+
+
+def reference_sample(n):
+    ims = list(all_one_lines(n))
+    random.Random(n).shuffle(ims)
+    picked = {}
+    for im in ims:
+        if not brute_avoids_all(im):
+            continue
+        w = Permutation(im)
+        d = polished_decompose(w)
+        shape = "full" if [len(b.S) for b in d.blocks] == [n - 1] else len(d.blocks)
+        if shape in picked or shape not in REFERENCE_SHAPES:
+            continue
+        if build_interval(w).size in REFERENCE_SIZES[n]:
+            picked[shape] = w
+            if len(picked) == len(REFERENCE_SHAPES):
+                break
+    assert set(picked) == set(REFERENCE_SHAPES)
+    return list(picked.values())
+
+
 def graph_as_dict(g):
     word = lambda x: "".join(map(str, x))
     out = {word(x): set() for x in g.small}
@@ -467,13 +495,15 @@ class TestDualityMap:
                 assert v == reference_dual(w, d, u)
                 assert dual[v] == u
 
-    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_one_map_per_interval_matches_reference(self, n):
-        # one compiled map shares its memos across all of [e, w]
-        for im in all_one_lines(n):
-            if not brute_avoids_all(im):
-                continue
-            w = Permutation(im)
+        # one compiled map shares its memos across all of [e, w]; every
+        # six-avoider of S_5 and S_6, a seeded sample of S_7 and S_8
+        if n <= 6:
+            ws = [Permutation(im) for im in all_one_lines(n) if brute_avoids_all(im)]
+        else:
+            ws = reference_sample(n)
+        for w in ws:
             d = polished_decompose(w)
             interval = build_interval(w)
             dual = DualityMap(w, d)
@@ -525,8 +555,9 @@ class TestDualityMap:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_interval_pass_matches_per_tuple_map(self, n):
-        # the pass runs the top level inline; its ids are those of the map
-        # applied one tuple at a time, on a fresh map each
+        # the pass runs the top block's function, as calling the map does;
+        # its ids are those of the map applied one tuple at a time, on a
+        # fresh map each
         avoiders = 0
         for im in all_one_lines(n):
             if not brute_avoids_all(im):
@@ -557,6 +588,23 @@ class TestDualityMap:
                 reasons[next((r for r in ("does not account", "does not induce") if r in text), text)] += 1
         assert sorted(reasons) == ["does not account", "does not induce"]
         assert sum(reasons.values()) == 22 * 21
+
+    def test_image_outside_interval_in_warm_graph_raises(self):
+        # 4321's map sends [e, 2134] = {1234, 2134} to 4321 and 3421, and
+        # 4321 covers 3421: a bijection between graph ids that reverses the
+        # one cover, yet both images lie outside [e, 2134].  With [e, 4321]
+        # built first, the graph knows both, so only the membership check
+        # refuses them
+        w0 = parse_permutation("4321")
+        build_interval(w0)
+        interval = build_interval(parse_permutation("2134"))
+        dual = DualityMap(w0, polished_decompose(w0))
+        images = [dual(u.images) for u in interval.elements]
+        assert sorted(images) == [(3, 4, 2, 1), (4, 3, 2, 1)]
+        assert all(x in interval.graph.ids for x in images)
+        assert dual.interval_ids(interval) == [-1, -1]
+        with pytest.raises(ValueError, match="does not induce an antiautomorphism"):
+            certify_self_dual(interval, polished_decompose(w0))
 
     def test_unaccounted_element_raises_in_the_pass(self):
         # 2134's decomposition accounts for e and 2134 only
